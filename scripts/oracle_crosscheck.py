@@ -2,23 +2,26 @@
 """Cross-check the exact validity oracle against a definitional brute force.
 
 For random (statement, distribution) pairs this re-decides validity straight
-from the definition — the block tuples must factorize given every conditioning
-assignment, checked in exact rational arithmetic over the full outcome grid —
-and also confirms the float defect J agrees with the verdict through the
-tolerance bridge.  Any disagreement is a bug in one of the two deciders; the
-script exits non-zero so it can run as a long-haul fuzzer.
+from the definition (``brute_valid`` in ``tests/oracle_reference.py``, which
+the tier-1 suite runs as a property test) and also confirms the float defect
+J agrees with the verdict through the tolerance bridge.  Any disagreement is a
+bug in one of the two deciders; the script exits non-zero so it can run as a
+long-haul fuzzer.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from pathlib import Path
 
-from cmikit import TOLERANCE, Cmi, JointDistribution, is_valid, j_value, random_distribution
+from cmikit import TOLERANCE, is_valid, j_value, random_distribution
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracle_reference import brute_valid  # noqa: E402
+from samplers import random_cmi  # noqa: E402
 
 
 @dataclass
@@ -39,39 +42,6 @@ def parse_args(argv: list[str] | None) -> Config:
     return Config(args.trials, args.seed, args.max_n, args.max_alphabet)
 
 
-def brute_valid(p: JointDistribution, k: Cmi) -> bool:
-    """Validity straight from the definition, ignoring the canonical form."""
-    if len(k.blocks) <= 1:
-        return True
-    cond = tuple(sorted(k.cond))
-    union = tuple(sorted(frozenset().union(*k.blocks)))
-    both = tuple(sorted(set(cond) | set(union)))
-    blocks = [(tuple(sorted(set(cond) | b)), p.marginal(set(cond) | b)) for b in k.blocks]
-    joint = p.marginal(both)
-    t = len(k.blocks)
-    for y, py in p.marginal(cond).items():
-        ydict = dict(zip(cond, y))
-        for w in itertools.product(*(range(p.alphabet_sizes[i - 1]) for i in union)):
-            wdict = dict(zip(union, w))
-            pick = lambda key: tuple(ydict.get(i, wdict.get(i)) for i in key)
-            lhs = joint.get(pick(both), Fraction(0)) * py ** (t - 1)
-            rhs = Fraction(1)
-            for key, marg in blocks:
-                rhs *= marg.get(pick(key), Fraction(0))
-            if lhs != rhs:
-                return False
-    return True
-
-
-def random_statement(rng: random.Random, n: int) -> Cmi:
-    cond = frozenset(i for i in range(1, n + 1) if rng.random() < 0.3)
-    blocks = tuple(
-        frozenset(i for i in range(1, n + 1) if rng.random() < 0.4)
-        for _ in range(rng.randint(0, 3))
-    )
-    return Cmi(n, cond, blocks)
-
-
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_args(argv)
     rng = random.Random(cfg.seed)
@@ -81,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
         sizes = tuple(rng.randint(1, cfg.max_alphabet) for _ in range(n))
         grain = rng.choice((1, 2, 3, 4, 8, 16))
         p = random_distribution(n, sizes, seed=cfg.seed + t, mass_grain=grain)
-        k = random_statement(rng, n)
+        k = random_cmi(rng, n, max_blocks=3)
         fast, slow = is_valid(p, k), brute_valid(p, k)
         if fast != slow:
             oracle_bugs += 1

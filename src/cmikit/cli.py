@@ -22,6 +22,7 @@ from .distributions import (
     is_valid,
     j_value,
     random_distribution,
+    require_matching_arity,
 )
 from .statements import Cmi, canonicalize, decompose_to_cis, equivalent, implies
 from .textio import parse_cmi, parse_distribution, render_cmi, render_distribution
@@ -219,6 +220,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _measure(p: JointDistribution, k: Cmi) -> tuple[str, float]:
+    require_matching_arity(p, k)
     if len(k.blocks) <= 1:
         label = "H" + render_cmi(k)[1:]
         block = k.blocks[0] if k.blocks else frozenset()
@@ -282,6 +284,16 @@ def _add_common(p: argparse.ArgumentParser, statements: int) -> None:
     p.add_argument("--json", action="store_true", help="emit one JSON object on stdout")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--verify",
@@ -289,7 +301,7 @@ def _add_verify(p: argparse.ArgumentParser) -> None:
         help="cross-check the verdict against the exact oracle on random distributions",
     )
     p.add_argument("--seed", type=int, default=0, help="base seed for --verify sampling")
-    p.add_argument("--samples", type=int, default=200, help="sample count for --verify")
+    p.add_argument("--samples", type=_positive_int, default=200, help="sample count for --verify")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,12 @@
 """Exact finite joint distributions and the semantic side of CMI statements.
 
-Probabilities are ``fractions.Fraction`` throughout, so validity of a
-statement on a distribution is decided exactly (no thresholds).  Entropies are
-reported as floats in bits; they are only used for diagnostics and
-cross-checks, never inside the validity decision.
+A distribution is stored as integer weights over a common denominator: the
+lcm ``D`` of its reduced probability denominators, so every marginal is a
+table of integer counts and validity of a statement on a distribution is
+decided by exact integer identities (no thresholds).  ``pmf`` and
+``marginal`` present the same probabilities as ``fractions.Fraction`` values.
+Entropies are reported as floats in bits; they are only used for diagnostics
+and cross-checks, never inside the validity decision.
 """
 
 from __future__ import annotations
@@ -11,10 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
 
-from .statements import Cmi, IndexSet, canonicalize
+from .statements import Cmi, canonicalize
 
 Rational = Fraction
 Assignment = tuple[int, ...]
@@ -23,14 +28,62 @@ Assignment = tuple[int, ...]
 TOLERANCE = 1e-9
 
 
+def _projector(src: tuple[int, ...], dst: tuple[int, ...]) -> Callable[[Assignment], Assignment]:
+    """Restrict an assignment over the sorted indices ``src`` to the sorted subset ``dst``."""
+    pos = [src.index(i) for i in dst]
+    if len(pos) >= 2:
+        return itemgetter(*pos)
+    if pos:
+        j = pos[0]
+        return lambda outcome: (outcome[j],)
+    return lambda outcome: ()
+
+
+def _common_denominator(
+    rows: Iterable[tuple[Assignment, int, int]],
+) -> tuple[dict[Assignment, int], int]:
+    """Integer weights of ``(outcome, numerator, denominator)`` rows over the lcm of
+    their denominators.  Zero rows are dropped; repeated outcomes add up."""
+    rows = [row for row in rows if row[1]]
+    denominator = math.lcm(*(den for _, _, den in rows))
+    weights: dict[Assignment, int] = {}
+    for outcome, num, den in rows:
+        weights[outcome] = weights.get(outcome, 0) + num * (denominator // den)
+    return weights, denominator
+
+
+class _PmfView(Mapping):
+    """Read-only ``Fraction`` view of integer weights over a common denominator."""
+
+    __slots__ = ("_weights", "_denominator")
+
+    def __init__(self, weights: dict[Assignment, int], denominator: int) -> None:
+        self._weights = weights
+        self._denominator = denominator
+
+    def __getitem__(self, outcome: Assignment) -> Fraction:
+        return Fraction(self._weights[outcome], self._denominator)
+
+    def __iter__(self) -> Iterator[Assignment]:
+        return iter(self._weights)
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class JointDistribution:
     """Sparse exact pmf over ``n`` finite variables with given alphabet sizes.
 
     Outcomes are tuples ``(s_1, ..., s_n)`` with ``0 <= s_i < alphabet_sizes[i]``.
-    Zero-probability outcomes are dropped; total mass must be exactly 1.
+    Zero-probability outcomes are dropped; total mass must be exactly 1.  The
+    probabilities are held as positive integer weights over the least common
+    denominator; ``pmf`` maps each support point to its ``Fraction``.
     """
 
-    __slots__ = ("n", "alphabet_sizes", "pmf", "_marginals")
+    __slots__ = ("n", "alphabet_sizes", "pmf", "_weights", "_denominator", "_counts")
 
     def __init__(
         self,
@@ -42,7 +95,7 @@ class JointDistribution:
             if s < 1:
                 raise ValueError(f"alphabet sizes must be >= 1, got {s}")
         n = len(sizes)
-        clean: dict[Assignment, Rational] = {}
+        rows: list[tuple[Assignment, int, int]] = []
         for outcome, prob in pmf.items():
             outcome = tuple(int(s) for s in outcome)
             if len(outcome) != n:
@@ -53,53 +106,103 @@ class JointDistribution:
                         f"symbol {s} of variable {i + 1} outside its alphabet 0..{sizes[i] - 1}"
                     )
             q = Fraction(prob)
-            if q < 0:
+            if q.numerator < 0:
                 raise ValueError(f"negative probability {q} for outcome {outcome}")
-            if q:
-                clean[outcome] = clean.get(outcome, Fraction(0)) + q
-        if sum(clean.values(), Fraction(0)) != 1:
+            rows.append((outcome, q.numerator, q.denominator))
+        weights, denominator = _common_denominator(rows)
+        if sum(weights.values()) != denominator:
             raise ValueError("probabilities must sum to exactly 1")
-        self.n = n
-        self.alphabet_sizes = sizes
-        self.pmf = clean
-        self._marginals: dict[tuple[int, ...], dict[Assignment, Rational]] = {}
+        self._setup(sizes, weights, denominator)
 
-    def marginal(self, indices: Iterable[int]) -> dict[Assignment, Rational]:
-        """Marginal pmf of the 1-based variables ``indices``, keyed by sorted order."""
+    @classmethod
+    def _from_weights(
+        cls, sizes: tuple[int, ...], weights: dict[Assignment, int], denominator: int
+    ) -> "JointDistribution":
+        """Build from positive integer weights over valid outcomes that sum to ``denominator``.
+
+        The caller guarantees those invariants; the weights need not be in
+        lowest terms.
+        """
+        self = cls.__new__(cls)
+        self._setup(sizes, weights, denominator)
+        return self
+
+    def _setup(self, sizes: tuple[int, ...], weights: dict[Assignment, int], denominator: int) -> None:
+        # Reduce to the least common denominator, so equal pmfs store equal weights.
+        g = math.gcd(denominator, *weights.values())
+        if g > 1:
+            weights = {outcome: w // g for outcome, w in weights.items()}
+            denominator //= g
+        self.n = len(sizes)
+        self.alphabet_sizes = sizes
+        self.pmf = _PmfView(weights, denominator)
+        self._weights = weights
+        self._denominator = denominator
+        self._counts: dict[tuple[int, ...], dict[Assignment, int]] = {
+            tuple(range(1, self.n + 1)): weights
+        }
+
+    def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
         key = tuple(sorted(set(int(i) for i in indices)))
         for i in key:
             if not 1 <= i <= self.n:
                 raise ValueError(f"variable index {i} outside the ground set 1..{self.n}")
-        cached = self._marginals.get(key)
-        if cached is not None:
-            return cached
-        out: dict[Assignment, Rational] = {}
-        for outcome, prob in self.pmf.items():
-            sub = tuple(outcome[i - 1] for i in key)
-            out[sub] = out.get(sub, Fraction(0)) + prob
-        self._marginals[key] = out
-        return out
+        return key
+
+    def _marginal_counts(self, key: tuple[int, ...]) -> dict[Assignment, int]:
+        """Integer weights of the marginal on the sorted 1-based indices ``key`` (cached)."""
+        counts = self._counts.get(key)
+        if counts is not None:
+            return counts
+        # Sum out of the smallest cached marginal that covers ``key``; the full
+        # pmf always qualifies.  Keys keep their order of first appearance.
+        wanted = set(key)
+        src_key, src = min(
+            ((k, c) for k, c in self._counts.items() if wanted.issubset(k)),
+            key=lambda item: len(item[1]),
+        )
+        project = _projector(src_key, key)
+        counts = {}
+        for outcome, w in src.items():
+            sub = project(outcome)
+            counts[sub] = counts.get(sub, 0) + w
+        self._counts[key] = counts
+        return counts
+
+    def marginal(self, indices: Iterable[int]) -> dict[Assignment, Rational]:
+        """Marginal pmf of the 1-based variables ``indices``, keyed by sorted order."""
+        d = self._denominator
+        counts = self._marginal_counts(self._key(indices))
+        return {outcome: Fraction(c, d) for outcome, c in counts.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JointDistribution):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.alphabet_sizes == other.alphabet_sizes
-            and self.pmf == other.pmf
+        return (self.alphabet_sizes, self._denominator, self._weights) == (
+            other.alphabet_sizes,
+            other._denominator,
+            other._weights,
         )
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"JointDistribution(sizes={self.alphabet_sizes}, support={len(self.pmf)})"
+        return f"JointDistribution(sizes={self.alphabet_sizes}, support={len(self._weights)})"
+
+
+def require_matching_arity(p: JointDistribution, k: Cmi) -> None:
+    """Raise unless the statement's ground set is the distribution's variable set."""
+    if k.n != p.n:
+        raise ValueError(f"statement ground set {k.n} does not match distribution arity {p.n}")
 
 
 def entropy(p: JointDistribution, indices: Iterable[int]) -> float:
     """Shannon entropy in bits of the marginal on ``indices``."""
+    d = p._denominator
     total = 0.0
-    for prob in p.marginal(indices).values():
-        q = float(prob)
+    for c in p._marginal_counts(p._key(indices)).values():
+        # Integer true division is correctly rounded, as float(Fraction(c, d)) is.
+        q = c / d
         total -= q * math.log2(q)
     return total + 0.0  # normalize -0.0 away
 
@@ -130,8 +233,7 @@ def j_value(p: JointDistribution, k: Cmi) -> float:
     Zero exactly when ``k`` is valid on ``p`` (for two or more blocks it is
     non-negative); statements with at most one block give literally ``0.0``.
     """
-    if k.n != p.n:
-        raise ValueError(f"statement ground set {k.n} does not match distribution arity {p.n}")
+    require_matching_arity(p, k)
     if len(k.blocks) <= 1:
         return 0.0
     union = frozenset().union(*k.blocks)
@@ -141,73 +243,62 @@ def j_value(p: JointDistribution, k: Cmi) -> float:
     return total + 0.0
 
 
-def _grouped_conditionals(
-    p: JointDistribution, cond: IndexSet, other: IndexSet
-) -> dict[Assignment, dict[Assignment, Rational]]:
-    """Split the marginal on ``cond | other`` by the assignment to ``cond``."""
-    cond_key = tuple(sorted(cond))
-    both_key = tuple(sorted(cond | other))
-    pick_cond = tuple(both_key.index(i) for i in cond_key)
-    pick_other = tuple(j for j, i in enumerate(both_key) if i not in cond)
-    out: dict[Assignment, dict[Assignment, Rational]] = {}
-    for outcome, prob in p.marginal(both_key).items():
-        y = tuple(outcome[j] for j in pick_cond)
-        z = tuple(outcome[j] for j in pick_other)
-        out.setdefault(y, {})[z] = prob
-    return out
-
-
 def is_valid(p: JointDistribution, k: Cmi) -> bool:
     """Exact decision: does ``p`` satisfy the statement ``k``?
 
-    Works on the canonical form.  The repeated indices must be a function of
-    the conditioning variables (constant within every conditioning class of
-    the support), and the parts must factorize exactly: for every conditioning
-    assignment ``y`` and every combination of part assignments drawn from the
-    per-part conditional supports,
+    Works on the canonical form, with integer counts ``c`` over the common
+    denominator.  The repeated indices must be a function of the conditioning
+    variables (constant within every conditioning class of the support), and
+    the parts must factorize exactly: for every conditioning assignment ``y``
+    and every combination ``z`` of part assignments drawn from the per-part
+    conditional supports,
 
-        p(parts, y) * p(y)^(t-1) == prod_j p(part_j, y).
+        c(z, y) * c(y)^(t-1) == prod_j c(z_j, y).
 
     Combinations outside that product are automatically consistent (both
-    sides are zero), so restricting to it loses nothing.
+    sides are zero).  The joint support given ``y`` lies inside the product,
+    so it must fill it: ``|supp(parts | y)| == prod_j |supp(part_j | y)|``.
+    Once that holds, one walk over the joint support covers every combination.
     """
-    if k.n != p.n:
-        raise ValueError(f"statement ground set {k.n} does not match distribution arity {p.n}")
+    require_matching_arity(p, k)
     c = canonicalize(k)
     if c.degenerate:
         return True
     cond_key = tuple(sorted(c.cond))
     if c.repeated:
-        rep_key = tuple(sorted(c.repeated))
-        pos = {i: j for j, i in enumerate(sorted(c.cond | c.repeated))}
+        both_key = tuple(sorted(c.cond | c.repeated))
+        cond_of = _projector(both_key, cond_key)
+        rep_of = _projector(both_key, tuple(sorted(c.repeated)))
         seen: dict[Assignment, Assignment] = {}
-        for outcome in p.marginal(cond_key + rep_key):
-            y = tuple(outcome[pos[i]] for i in cond_key)
-            r = tuple(outcome[pos[i]] for i in rep_key)
-            if seen.setdefault(y, r) != r:
+        for outcome in p._marginal_counts(both_key):
+            r = rep_of(outcome)
+            if seen.setdefault(cond_of(outcome), r) != r:
                 return False
     if not c.parts:
         return True
     t = len(c.parts)
-    cond_marg = p.marginal(cond_key)
-    per_part = [_grouped_conditionals(p, c.cond, part) for part in c.parts]
-    all_parts = frozenset().union(*c.parts)
-    joint = _grouped_conditionals(p, c.cond, all_parts)
-    parts_key = tuple(sorted(all_parts))
-    slots = [tuple(parts_key.index(i) for i in sorted(part)) for part in c.parts]
-    for y, py in cond_marg.items():
-        tables = [g.get(y, {}) for g in per_part]
-        joint_y = joint.get(y, {})
-        for combo in itertools.product(*(table.items() for table in tables)):
-            z: list[int] = [0] * len(parts_key)
-            rhs = Fraction(1)
-            for (assign, prob), slot in zip(combo, slots):
-                rhs *= prob
-                for j, s in zip(slot, assign):
-                    z[j] = s
-            lhs = joint_y.get(tuple(z), Fraction(0)) * py ** (t - 1)
-            if lhs != rhs:
-                return False
+    joint_key = tuple(sorted(c.cond.union(*c.parts)))
+    joint = p._marginal_counts(joint_key)
+    cond_of = _projector(joint_key, cond_key)
+    part_keys = [tuple(sorted(c.cond | part)) for part in c.parts]
+    part_counts = [p._marginal_counts(key) for key in part_keys]
+    part_supports = [
+        Counter(map(_projector(key, cond_key), counts))
+        for key, counts in zip(part_keys, part_counts)
+    ]
+    for y, size in Counter(map(cond_of, joint)).items():
+        if size != math.prod(support[y] for support in part_supports):
+            return False
+    scale = {y: cy ** (t - 1) for y, cy in p._marginal_counts(cond_key).items()}
+    lookups = [
+        (_projector(joint_key, key), counts) for key, counts in zip(part_keys, part_counts)
+    ]
+    for outcome, czy in joint.items():
+        rhs = 1
+        for part_of, counts in lookups:
+            rhs *= counts[part_of(outcome)]
+        if czy * scale[cond_of(outcome)] != rhs:
+            return False
     return True
 
 
@@ -239,5 +330,4 @@ def random_distribution(
     for _ in range(mass_grain):
         o = rng.choice(outcomes)
         counts[o] = counts.get(o, 0) + 1
-    pmf = {o: Fraction(c, mass_grain) for o, c in counts.items()}
-    return JointDistribution(sizes, pmf)
+    return JointDistribution._from_weights(sizes, counts, mass_grain)

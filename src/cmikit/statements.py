@@ -160,7 +160,12 @@ def repeated_indices(k: Cmi) -> IndexSet:
     return frozenset(i for i, c in counts.items() if c >= 2)
 
 
-@lru_cache(maxsize=None)
+#: Canonical forms kept by ``canonicalize``: a bound, so long runs over fresh
+#: statements keep memory flat, well above the 1,077 classes over n=5.
+CANONICAL_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=CANONICAL_CACHE_SIZE)
 def canonicalize(k: Cmi) -> CanonicalCmi:
     """Normal form whose structural equality decides statement equivalence."""
     p = pure_form(k)

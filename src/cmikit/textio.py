@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .distributions import JointDistribution
+from .distributions import JointDistribution, _common_denominator
 from .statements import MAX_GROUND_SET, Cmi, IndexSet
 
 
@@ -153,7 +153,7 @@ def parse_distribution(text: str) -> JointDistribution:
     alphabet, malformed probabilities and total mass != 1 are errors.
     """
     sizes: list[int] | None = None
-    pmf: dict[tuple[int, ...], Fraction] = {}
+    rows: dict[tuple[int, ...], tuple[int, int]] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -216,17 +216,18 @@ def parse_distribution(text: str) -> JointDistribution:
         if den == 0:
             raise ParseError(lineno, rat_col, "probability denominator is zero")
         key = tuple(outcome)
-        if key in pmf:
+        if key in rows:
             raise ParseError(
                 lineno, sym_tokens[0].start() + 1, f"duplicate row for outcome {' '.join(map(str, key))}"
             )
-        pmf[key] = Fraction(num, den)
+        rows[key] = (num, den)
     if sizes is None:
         raise ParseError(1, 1, "missing 'vars:' header line")
-    total = sum(pmf.values(), Fraction(0))
-    if total != 1:
-        raise ParseError(1, 1, f"probabilities sum to {total}, expected 1")
-    return JointDistribution(sizes, pmf)
+    weights, denominator = _common_denominator((key, num, den) for key, (num, den) in rows.items())
+    total = sum(weights.values())
+    if total != denominator:
+        raise ParseError(1, 1, f"probabilities sum to {Fraction(total, denominator)}, expected 1")
+    return JointDistribution._from_weights(tuple(sizes), weights, denominator)
 
 
 def render_distribution(p: JointDistribution) -> str:

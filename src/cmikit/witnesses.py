@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .distributions import JointDistribution, is_valid
 from .statements import Cmi, canonicalize, equivalent, implies, residual
@@ -44,21 +43,22 @@ def template_distribution(n: int, template: str, pivots: tuple[int, ...]) -> Joi
     for m in pivots:
         if not 1 <= m <= n:
             raise ValueError(f"pivot index {m} outside the ground set 1..{n}")
-    pmf: dict[tuple[int, ...], Fraction] = {}
+    weights: dict[tuple[int, ...], int] = {}
     if template == XOR:
         for u, v in itertools.product((0, 1), repeat=2):
             row = [0] * n
             row[pivots[0] - 1] = u
             row[pivots[1] - 1] = v
             row[pivots[2] - 1] = u ^ v
-            pmf[tuple(row)] = Fraction(1, 4)
+            weights[tuple(row)] = 1
     else:
         for u in (0, 1):
             row = [0] * n
             for m in pivots:
                 row[m - 1] = u
-            pmf[tuple(row)] = Fraction(1, 2)
-    return JointDistribution((2,) * n, pmf)
+            weights[tuple(row)] = 1
+    # Every row weighs the same: a uniform pmf over the rows built above.
+    return JointDistribution._from_weights((2,) * n, weights, len(weights))
 
 
 @dataclass(frozen=True)

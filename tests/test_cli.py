@@ -231,3 +231,35 @@ def test_color_gated_on_tty_and_environment(monkeypatch):
 def test_no_color_when_not_a_tty(capsys, xor_file):
     _, out, _ = run(capsys, "check", "I(1 ; 2)", "--n", "3", "--dist", xor_file)
     assert "\x1b[" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("canon", "I(1 ; 2)"),
+        ("equiv", "I(1 ; 2)", "I(2 ; 1)"),
+        ("implies", "I(1 ; 2)", "I(2 ; 1)"),
+        ("decompose", "I(1 ; 2 ; 3)"),
+    ],
+)
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_sample_counts_below_one(capsys, argv, samples):
+    # Zero samples would print a verified verdict after checking nothing.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "3", "--verify", "--samples", samples])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --samples: must be at least 1, got {samples}" in err
+
+
+def test_entropy_rejects_ground_set_mismatch_like_check(capsys, tmp_path):
+    path = tmp_path / "five.dist"
+    path.write_text("vars: A:2 B:2 C:2 D:2 E:2\n0 0 0 0 0 : 1/2\n1 1 1 1 1 : 1/2\n")
+    message = "error: statement ground set 3 does not match distribution arity 5\n"
+    for argv in (
+        ("entropy", "I(1,2)", "--n", "3", "--dist", str(path)),
+        ("entropy", "I(1 ; 2)", "--n", "3", "--dist", str(path)),
+        ("check", "I(1 ; 2)", "--n", "3", "--dist", str(path)),
+    ):
+        assert run(capsys, *argv) == (2, "", message)

@@ -1,11 +1,15 @@
 """Exact-distribution oracle tests: entropies, the defect functional, validity."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle_reference import fraction_marginal
+from samplers import random_cmi, random_joint
 from cmikit import (
     Cmi,
     JointDistribution,
@@ -15,7 +19,9 @@ from cmikit import (
     entropy,
     is_valid,
     j_value,
+    parse_distribution,
     random_distribution,
+    render_distribution,
 )
 
 UNIFORM_BIT = JointDistribution((2,), {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
@@ -217,3 +223,94 @@ def test_conditioning_never_raises_entropy(seed):
     p = random_distribution(3, (2, 2, 3), seed=seed, mass_grain=8)
     assert cond_entropy(p, {1}, {2, 3}) <= cond_entropy(p, {1}, {2}) + TOLERANCE
     assert cond_entropy(p, {1}, {2}) <= entropy(p, {1}) + TOLERANCE
+
+
+# --- the integer-weight representation ---------------------------------------
+
+
+def reference_entropy(p, indices):
+    """Entropy as the Fraction oracle computed it: float(Fraction) per marginal cell."""
+    total = 0.0
+    for prob in fraction_marginal(p, tuple(sorted(set(indices)))).values():
+        q = float(prob)
+        total -= q * math.log2(q)
+    return total + 0.0
+
+
+def test_reducible_and_reduced_inputs_are_equal():
+    halves = JointDistribution((2,), {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
+    quarters = parse_distribution("vars: A:2\n0 : 2/4\n1 : 2/4\n")
+    assert quarters == halves
+    assert quarters.pmf == halves.pmf == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+    # Counts over the grain are reduced too: four unit masses on one point.
+    point = random_distribution(1, (1,), seed=0, mass_grain=4)
+    assert point == JointDistribution((1,), {(0,): 1})
+    assert point.pmf == {(0,): Fraction(1)}
+
+
+def test_pmf_values_are_fractions_in_lowest_terms():
+    p = parse_distribution("vars: A:2 B:3\n0 0 : 2/12\n0 1 : 3/9\n0 2 : 0/7\n1 1 : 4/8\n")
+    assert p.pmf == {(0, 0): Fraction(1, 6), (0, 1): Fraction(1, 3), (1, 1): Fraction(1, 2)}
+    for q in p.pmf.values():
+        assert type(q) is Fraction and math.gcd(q.numerator, q.denominator) == 1
+    assert len(p.pmf) == 3 and list(p.pmf) == [(0, 0), (0, 1), (1, 1)]
+    with pytest.raises(TypeError):
+        p.pmf[(0, 0)] = Fraction(1)  # type: ignore[index]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_marginal_matches_fraction_reference(seed, n):
+    rng = random.Random(seed)
+    p = random_joint(rng, n, seed)
+    for key in itertools.chain.from_iterable(
+        itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
+    ):
+        m = p.marginal(key)
+        assert m == fraction_marginal(p, key)
+        assert all(type(q) is Fraction for q in m.values())
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_float_measures_are_bit_identical_to_fraction_floats(seed, n):
+    rng = random.Random(seed)
+    p = random_joint(rng, n, seed)
+    ground = range(1, n + 1)
+    a, b, c = (frozenset(i for i in ground if rng.random() < 0.5) for _ in range(3))
+    assert entropy(p, a).hex() == reference_entropy(p, a).hex()
+    expected_cmi = (
+        reference_entropy(p, a | c)
+        + reference_entropy(p, b | c)
+        - reference_entropy(p, a | b | c)
+        - reference_entropy(p, c)
+    )
+    assert cond_mutual_info(p, a, b, c).hex() == expected_cmi.hex()
+    k = random_cmi(rng, n)
+    if len(k.blocks) >= 2:
+        ref_h = lambda s: reference_entropy(p, s | k.cond) - reference_entropy(p, k.cond)
+        expected_j = -ref_h(frozenset().union(*k.blocks))
+        for block in k.blocks:
+            expected_j += ref_h(block)
+        assert j_value(p, k).hex() == (expected_j + 0.0).hex()
+
+
+def test_support_precheck_rejects_a_missing_combination():
+    # Given X3 = 1, X1 and X2 are independent bits; given X3 = 0, X2 copies X1,
+    # so the joint support there has 2 of the 2 x 2 part combinations.
+    pmf = {(a, a, 0): Fraction(1, 4) for a in (0, 1)}
+    pmf.update({(a, b, 1): Fraction(1, 8) for a in (0, 1) for b in (0, 1)})
+    p = JointDistribution((2, 2, 2), pmf)
+    assert not is_valid(p, Cmi(3, {3}, ({1}, {2})))
+    # Restricted to the independent slice, the same statement holds.
+    slice_ = JointDistribution((2, 2, 2), {o: 2 * q for o, q in pmf.items() if o[2] == 1})
+    assert is_valid(slice_, Cmi(3, {3}, ({1}, {2})))
+
+
+def test_render_distribution_is_byte_identical_for_mixed_denominators():
+    text = "vars: A:2 B:3\n1 2 : 1/4\n0 0 : 2/12\n0 1 : 0/5\n0 2 : 5/12\n1 0 : 1/6\n"
+    assert render_distribution(parse_distribution(text)) == (
+        "vars: X1:2 X2:3\n"
+        "0 0 : 1/6\n"
+        "0 2 : 5/12\n"
+        "1 0 : 1/6\n"
+        "1 2 : 1/4\n"
+    )

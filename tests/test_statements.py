@@ -87,6 +87,10 @@ def test_canonicalize_few_blocks_is_degenerate():
     assert CanonicalCmi.degenerate_form(4).as_cmi() == Cmi(4, set(), ())
 
 
+def test_canonicalize_cache_is_bounded():
+    assert canonicalize.cache_info().maxsize is not None
+
+
 def test_canonicalize_drops_lone_leftover_part():
     # Once {1} is pinned by the (empty) condition, the single remaining part
     # {2} carries no constraint, so only the repeated set survives.
