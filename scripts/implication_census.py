@@ -3,9 +3,11 @@
 
 Enumerates every canonical form over a small ground set, decides implication
 for all ordered pairs, and for each failed implication builds the separating
-distribution, tallying which counterexample template the planner reached for.
+distribution, tallying which counterexample template it used and, against
+the failing clause of the sub-CMI test, a clause x template histogram.
 Useful for eyeballing how the implication lattice and the witness case split
-behave as the ground set grows.
+behave as the ground set grows.  Exits 1 if any witness is not the one its
+clause planned, that is if the brute-force safety net ever had to run.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from cmikit import enumerate_canonical, implies, render_cmi, witness_non_implication
+from cmikit import TEMPLATES, enumerate_canonical, implies, render_cmi, witness_non_implication
+from cmikit.statements import _sub_cmi_clause
+from cmikit.witnesses import PLANNED_TEMPLATE
 
 
 @dataclass
@@ -44,8 +48,9 @@ def main(argv: list[str] | None = None) -> int:
     statements = [c.as_cmi() for c in forms]
     print(f"canonical classes over n={cfg.n}, max_blocks={cfg.max_blocks}: {len(forms)}")
 
-    edges = 0
+    edges = unplanned = 0
     templates: Counter[str] = Counter()
+    by_clause: Counter[tuple[str, str]] = Counter()
     for a, ka in enumerate(statements):
         for b, kb in enumerate(statements):
             if a == b:
@@ -55,13 +60,28 @@ def main(argv: list[str] | None = None) -> int:
                 if cfg.show_edges:
                     print(f"  {render_cmi(ka)}  =>  {render_cmi(kb)}")
             else:
-                templates[witness_non_implication(ka, kb).template] += 1
+                clause, pivots = _sub_cmi_clause(ka, kb)
+                w = witness_non_implication(ka, kb)
+                templates[w.template] += 1
+                by_clause[clause, w.template] += 1
+                planned = (PLANNED_TEMPLATE[clause, len(pivots)], pivots)
+                unplanned += (w.template, w.pivot_indices) != planned
 
     pairs = len(statements) * (len(statements) - 1)
     print(f"ordered pairs: {pairs}, implication edges: {edges}")
     print("witness templates for the failures:")
     for name, count in sorted(templates.items(), key=lambda kv: -kv[1]):
         print(f"  {name:6s} {count}")
+    clauses = dict.fromkeys(clause for clause, _ in PLANNED_TEMPLATE)
+    width = max(map(len, clauses))
+    print("failing clause x witness template:")
+    print(f"  {'':{width}s}" + "".join(f" {name:>7s}" for name in TEMPLATES))
+    for clause in clauses:
+        counts = "".join(f" {by_clause[clause, name]:7d}" for name in TEMPLATES)
+        print(f"  {clause:{width}s}{counts}")
+    if unplanned:
+        print(f"{unplanned} witnesses did not come from their planned template")
+        return 1
     return 0
 
 

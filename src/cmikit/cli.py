@@ -13,9 +13,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
+from typing import Callable, Iterator
 
 from .distributions import (
+    RANDOM_MAX_N,
     TOLERANCE,
     JointDistribution,
     cond_entropy,
@@ -69,28 +70,43 @@ def _emit_witness(w: Witness, out: str | None) -> dict:
     return payload
 
 
-def _sample_stream(n: int, seed: int, samples: int):
-    for i in range(samples):
-        yield random_distribution(n, (2,) * n, seed + i, 16)
+# What ``--verify`` demands of the verdicts on one sample, which it reads lazily
+# in statement order, and how it reports a failure.
+_EQUIVALENT = (lambda v: next(v) == next(v), "separates statements declared equivalent")
+_ENTAILED = (
+    lambda v: not next(v) or next(v),
+    "satisfies the premise but violates the declared consequence",
+)
+_DECOMPOSED = (lambda v: next(v) == all(v), "separates the statement from its decomposition")
 
 
-def _verify_agree(k: Cmi, k2: Cmi, seed: int, samples: int, relation: str) -> None:
-    """Demand that the two statements hold on exactly the same sampled distributions."""
-    for p in _sample_stream(k.n, seed, samples):
-        if is_valid(p, k) != is_valid(p, k2):
-            raise RuntimeError(
-                f"verification failed: sampled distribution separates statements "
-                f"declared {relation}"
-            )
+def _verify(
+    args: argparse.Namespace,
+    statements: list[Cmi],
+    demand: tuple[Callable[[Iterator[bool]], bool], str],
+) -> None:
+    """Check the statements' verdicts on ``args.samples`` random distributions.
 
-
-def _verify_entailment(k: Cmi, k2: Cmi, seed: int, samples: int) -> None:
-    for p in _sample_stream(k.n, seed, samples):
-        if is_valid(p, k) and not is_valid(p, k2):
-            raise RuntimeError(
-                "verification failed: sampled distribution satisfies the premise "
-                "but violates the declared consequence"
-            )
+    Validity depends only on the variables a statement mentions, so the samples
+    range over those alone, relabelled ``1..m``.
+    """
+    agree, failure = demand
+    mentioned = sorted(set().union(*(k.cond.union(*k.blocks) for k in statements)))
+    m = len(mentioned)
+    if m > RANDOM_MAX_N:
+        raise ValueError(
+            f"--verify samples at most {RANDOM_MAX_N} mentioned variables; "
+            f"these statements mention {m}"
+        )
+    label = {i: j for j, i in enumerate(mentioned, start=1)}
+    relabelled = [
+        Cmi(m, [label[i] for i in k.cond], tuple([label[i] for i in b] for b in k.blocks))
+        for k in statements
+    ]
+    for i in range(args.samples):
+        p = random_distribution(m, (2,) * m, args.seed + i, 16)
+        if not agree(is_valid(p, k) for k in relabelled):
+            raise RuntimeError(f"verification failed: sampled distribution {failure}")
 
 
 def _print_json(payload: dict) -> None:
@@ -101,7 +117,7 @@ def cmd_canon(args: argparse.Namespace) -> int:
     k = parse_cmi(args.statement, args.n)
     canonical = _canonical_text(k)
     if args.verify:
-        _verify_agree(k, canonicalize(k).as_cmi(), args.seed, args.samples, "equivalent")
+        _verify(args, [k, canonicalize(k).as_cmi()], _EQUIVALENT)
     if args.json:
         _print_json({"command": "canon", "canonical": [canonical]})
     else:
@@ -118,7 +134,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     if not answer:
         witness_payload = _emit_witness(witness_non_equivalence(k, k2), args.out)
     if args.verify and answer:
-        _verify_agree(k, k2, args.seed, args.samples, "equivalent")
+        _verify(args, [k, k2], _EQUIVALENT)
     if args.json:
         payload = {
             "command": "equiv",
@@ -144,7 +160,7 @@ def cmd_implies(args: argparse.Namespace) -> int:
     if not answer:
         witness_payload = _emit_witness(witness_non_implication(k, k2), args.out)
     if args.verify and answer:
-        _verify_entailment(k, k2, args.seed, args.samples)
+        _verify(args, [k, k2], _ENTAILED)
     if args.json:
         payload = {
             "command": "implies",
@@ -253,12 +269,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     k = parse_cmi(args.statement, args.n)
     components = decompose_to_cis(k)
     if args.verify:
-        for p in _sample_stream(k.n, args.seed, args.samples):
-            if is_valid(p, k) != all(is_valid(p, c) for c in components):
-                raise RuntimeError(
-                    "verification failed: sampled distribution separates the statement "
-                    "from its decomposition"
-                )
+        _verify(args, [k, *components], _DECOMPOSED)
     rendered = [render_cmi(c) for c in components]
     if args.json:
         _print_json(

@@ -17,9 +17,10 @@ import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
-from .statements import Cmi, canonicalize
+from .statements import Cmi, _indices, canonicalize
 
 Rational = Fraction
 Assignment = tuple[int, ...]
@@ -28,9 +29,16 @@ Assignment = tuple[int, ...]
 TOLERANCE = 1e-9
 
 
-def _projector(src: tuple[int, ...], dst: tuple[int, ...]) -> Callable[[Assignment], Assignment]:
-    """Restrict an assignment over the sorted indices ``src`` to the sorted subset ``dst``."""
-    pos = [src.index(i) for i in dst]
+#: Projectors kept by ``_projector``: every pair of masks over 5 variables fits.
+PROJECTOR_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PROJECTOR_CACHE_SIZE)
+def _projector(src: int, dst: int) -> Callable[[Assignment], Assignment]:
+    """Restrict an assignment over the variables of mask ``src`` to those of its submask
+    ``dst``; assignments list their variables in increasing index order."""
+    members = _indices(src)
+    pos = [members.index(i) for i in _indices(dst)]
     if len(pos) >= 2:
         return itemgetter(*pos)
     if pos:
@@ -138,41 +146,40 @@ class JointDistribution:
         self.pmf = _PmfView(weights, denominator)
         self._weights = weights
         self._denominator = denominator
-        self._counts: dict[tuple[int, ...], dict[Assignment, int]] = {
-            tuple(range(1, self.n + 1)): weights
-        }
+        # Marginal counts by variable mask (index i is bit i - 1).
+        self._counts: dict[int, dict[Assignment, int]] = {(1 << self.n) - 1: weights}
 
-    def _key(self, indices: Iterable[int]) -> tuple[int, ...]:
-        key = tuple(sorted(set(int(i) for i in indices)))
-        for i in key:
+    def _mask(self, indices: Iterable[int]) -> int:
+        mask = 0
+        for i in sorted(set(int(i) for i in indices)):
             if not 1 <= i <= self.n:
                 raise ValueError(f"variable index {i} outside the ground set 1..{self.n}")
-        return key
+            mask |= 1 << (i - 1)
+        return mask
 
-    def _marginal_counts(self, key: tuple[int, ...]) -> dict[Assignment, int]:
-        """Integer weights of the marginal on the sorted 1-based indices ``key`` (cached)."""
-        counts = self._counts.get(key)
+    def _marginal_counts(self, mask: int) -> dict[Assignment, int]:
+        """Integer weights of the marginal on the variables of ``mask`` (cached)."""
+        counts = self._counts.get(mask)
         if counts is not None:
             return counts
-        # Sum out of the smallest cached marginal that covers ``key``; the full
-        # pmf always qualifies.  Keys keep their order of first appearance.
-        wanted = set(key)
-        src_key, src = min(
-            ((k, c) for k, c in self._counts.items() if wanted.issubset(k)),
-            key=lambda item: len(item[1]),
-        )
-        project = _projector(src_key, key)
+        # Sum out of the smallest cached marginal that covers ``mask``; the full
+        # pmf, cached first, always qualifies.
+        src_mask, src = (1 << self.n) - 1, self._weights
+        for m, c in self._counts.items():
+            if len(c) < len(src) and not mask & ~m:
+                src_mask, src = m, c
+        project = _projector(src_mask, mask)
         counts = {}
         for outcome, w in src.items():
             sub = project(outcome)
             counts[sub] = counts.get(sub, 0) + w
-        self._counts[key] = counts
+        self._counts[mask] = counts
         return counts
 
     def marginal(self, indices: Iterable[int]) -> dict[Assignment, Rational]:
         """Marginal pmf of the 1-based variables ``indices``, keyed by sorted order."""
         d = self._denominator
-        counts = self._marginal_counts(self._key(indices))
+        counts = self._marginal_counts(self._mask(indices))
         return {outcome: Fraction(c, d) for outcome, c in counts.items()}
 
     def __eq__(self, other: object) -> bool:
@@ -200,7 +207,7 @@ def entropy(p: JointDistribution, indices: Iterable[int]) -> float:
     """Shannon entropy in bits of the marginal on ``indices``."""
     d = p._denominator
     total = 0.0
-    for c in p._marginal_counts(p._key(indices)).values():
+    for c in p._marginal_counts(p._mask(indices)).values():
         # Integer true division is correctly rounded, as float(Fraction(c, d)) is.
         q = c / d
         total -= q * math.log2(q)
@@ -264,34 +271,33 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     c = canonicalize(k)
     if c.degenerate:
         return True
-    cond_key = tuple(sorted(c.cond))
-    if c.repeated:
-        both_key = tuple(sorted(c.cond | c.repeated))
-        cond_of = _projector(both_key, cond_key)
-        rep_of = _projector(both_key, tuple(sorted(c.repeated)))
+    cond = c._cond
+    if c._rep:
+        both = cond | c._rep
+        cond_of, rep_of = _projector(both, cond), _projector(both, c._rep)
         seen: dict[Assignment, Assignment] = {}
-        for outcome in p._marginal_counts(both_key):
+        for outcome in p._marginal_counts(both):
             r = rep_of(outcome)
             if seen.setdefault(cond_of(outcome), r) != r:
                 return False
-    if not c.parts:
+    if not c._parts:
         return True
-    t = len(c.parts)
-    joint_key = tuple(sorted(c.cond.union(*c.parts)))
-    joint = p._marginal_counts(joint_key)
-    cond_of = _projector(joint_key, cond_key)
-    part_keys = [tuple(sorted(c.cond | part)) for part in c.parts]
-    part_counts = [p._marginal_counts(key) for key in part_keys]
+    t = len(c._parts)
+    joint_mask = cond | sum(c._parts)  # the parts are disjoint
+    joint = p._marginal_counts(joint_mask)
+    cond_of = _projector(joint_mask, cond)
+    part_masks = [cond | part for part in c._parts]
+    part_counts = [p._marginal_counts(mask) for mask in part_masks]
     part_supports = [
-        Counter(map(_projector(key, cond_key), counts))
-        for key, counts in zip(part_keys, part_counts)
+        Counter(map(_projector(mask, cond), counts))
+        for mask, counts in zip(part_masks, part_counts)
     ]
     for y, size in Counter(map(cond_of, joint)).items():
         if size != math.prod(support[y] for support in part_supports):
             return False
-    scale = {y: cy ** (t - 1) for y, cy in p._marginal_counts(cond_key).items()}
+    scale = {y: cy ** (t - 1) for y, cy in p._marginal_counts(cond).items()}
     lookups = [
-        (_projector(joint_key, key), counts) for key, counts in zip(part_keys, part_counts)
+        (_projector(joint_mask, mask), counts) for mask, counts in zip(part_masks, part_counts)
     ]
     for outcome, czy in joint.items():
         rhs = 1
@@ -300,6 +306,10 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
         if czy * scale[cond_of(outcome)] != rhs:
             return False
     return True
+
+
+#: Most variables ``random_distribution`` samples over.
+RANDOM_MAX_N = 8
 
 
 def random_distribution(
@@ -314,8 +324,8 @@ def random_distribution(
     arithmetic stays exact and the family of reachable distributions is
     finite.  ``mass_grain=1`` gives a random point mass.
     """
-    if not 0 <= n <= 8:
-        raise ValueError(f"random_distribution supports n in 0..8, got {n}")
+    if not 0 <= n <= RANDOM_MAX_N:
+        raise ValueError(f"random_distribution supports n in 0..{RANDOM_MAX_N}, got {n}")
     sizes = tuple(int(s) for s in alphabet_sizes)
     if len(sizes) != n:
         raise ValueError(f"expected {n} alphabet sizes, got {len(sizes)}")

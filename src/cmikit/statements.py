@@ -6,13 +6,18 @@ independent given ``X_C``.  This module provides the pure and canonical normal
 forms, the residual construction, exact decision procedures for equivalence
 and single-premise implication, and the sound statement transforms (weakening,
 decomposition into a chain of pairwise conditional independencies).
+
+Index sets are public ``frozenset`` fields, mirrored once as ``int`` bitmasks
+(index ``i`` is bit ``i - 1``) for equality, hashing, ``canonicalize`` and one
+clause function, which names the first failing clause of the sub-CMI test.
+``implies`` (alias ``is_sub_cmi``) asks whether none fails.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -22,14 +27,37 @@ IndexSet = frozenset[int]
 MAX_GROUND_SET = 64
 
 
+def _check_ground(n: int) -> None:
+    if not 0 <= n <= MAX_GROUND_SET:
+        raise ValueError(f"ground-set size must be in 0..{MAX_GROUND_SET}, got {n}")
+
+
 def _coerce_index_set(members: Iterable[int]) -> IndexSet:
     return frozenset(int(i) for i in members)
 
 
-def _check_subset(members: IndexSet, n: int, what: str) -> None:
+def _mask_of(members: IndexSet, n: int, what: str) -> int:
+    mask = 0
     for i in members:
         if not 1 <= i <= n:
             raise ValueError(f"{what} contains index {i} outside the ground set 1..{n}")
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    """Members of ``mask`` in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def _low(mask: int) -> int:
+    """Smallest member of a non-empty ``mask``."""
+    return (mask & -mask).bit_length()
 
 
 def block_key(block: IndexSet) -> tuple[int, tuple[int, ...]]:
@@ -37,7 +65,11 @@ def block_key(block: IndexSet) -> tuple[int, tuple[int, ...]]:
     return (len(block), tuple(sorted(block)))
 
 
-@dataclass(frozen=True, eq=False)
+def _mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    return (mask.bit_count(), _indices(mask))
+
+
+@dataclass(frozen=True, slots=True)
 class Cmi:
     """A CMI statement ``(cond, <blocks>)`` over the ground set ``{1..n}``.
 
@@ -45,38 +77,29 @@ class Cmi:
     stored tuple preserves the order the blocks were written in, so transforms
     that address blocks by position (``weaken``) stay well-defined.  Blocks may
     be empty and may overlap ``cond``; purity is not required at this level.
+    Equality and hashing read the masks; ``_blocks`` is sorted.
     """
 
     n: int
-    cond: IndexSet = frozenset()
-    blocks: tuple[IndexSet, ...] = ()
+    cond: IndexSet = field(default=frozenset(), compare=False)
+    blocks: tuple[IndexSet, ...] = field(default=(), compare=False)
+    _cond: int = field(init=False, repr=False)
+    _blocks: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_GROUND_SET:
-            raise ValueError(f"ground-set size must be in 0..{MAX_GROUND_SET}, got {self.n}")
-        object.__setattr__(self, "cond", _coerce_index_set(self.cond))
-        object.__setattr__(self, "blocks", tuple(_coerce_index_set(b) for b in self.blocks))
-        _check_subset(self.cond, self.n, "conditioning set")
-        for b in self.blocks:
-            _check_subset(b, self.n, "block")
+        _check_ground(self.n)
+        cond = _coerce_index_set(self.cond)
+        blocks = tuple(_coerce_index_set(b) for b in self.blocks)
+        object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_cond", _mask_of(cond, self.n, "conditioning set"))
+        object.__setattr__(self, "_blocks", tuple(sorted([_mask_of(b, self.n, "block") for b in blocks])))
 
     def sorted_blocks(self) -> tuple[IndexSet, ...]:
         return tuple(sorted(self.blocks, key=block_key))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Cmi):
-            return NotImplemented
-        return (self.n, self.cond, self.sorted_blocks()) == (
-            other.n,
-            other.cond,
-            other.sorted_blocks(),
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.cond, self.sorted_blocks()))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalCmi:
     """Canonical form ``(cond, repeated, parts)`` with a distinguished degenerate value.
 
@@ -85,52 +108,66 @@ class CanonicalCmi:
     every part is non-empty, parts are stored sorted, the part count is never
     exactly 1, and a non-degenerate form has a repeated set or at least two
     parts.  The degenerate value (true under every distribution) is normalized
-    to carry no indices at all.
+    to carry no indices at all.  Equality and hashing read the masks.
     """
 
     n: int
-    cond: IndexSet = frozenset()
-    repeated: IndexSet = frozenset()
-    parts: tuple[IndexSet, ...] = ()
+    cond: IndexSet = field(default=frozenset(), compare=False)
+    repeated: IndexSet = field(default=frozenset(), compare=False)
+    parts: tuple[IndexSet, ...] = field(default=(), compare=False)
     degenerate: bool = False
+    _cond: int = field(init=False, repr=False)
+    _rep: int = field(init=False, repr=False)
+    _parts: tuple[int, ...] = field(init=False, repr=False)  # in ``parts`` order
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_GROUND_SET:
-            raise ValueError(f"ground-set size must be in 0..{MAX_GROUND_SET}, got {self.n}")
-        object.__setattr__(self, "cond", _coerce_index_set(self.cond))
-        object.__setattr__(self, "repeated", _coerce_index_set(self.repeated))
-        object.__setattr__(
-            self,
-            "parts",
-            tuple(sorted((_coerce_index_set(p) for p in self.parts), key=block_key)),
-        )
-        if self.degenerate:
-            if self.cond or self.repeated or self.parts:
-                raise ValueError("the degenerate canonical form carries no indices")
-            return
-        _check_subset(self.cond, self.n, "conditioning set")
-        _check_subset(self.repeated, self.n, "repeated set")
-        for p in self.parts:
-            _check_subset(p, self.n, "part")
+        _check_ground(self.n)
+        cond = _coerce_index_set(self.cond)
+        rep = _coerce_index_set(self.repeated)
+        parts = sorted((_coerce_index_set(p) for p in self.parts), key=block_key)
+        if self.degenerate and (cond or rep or parts):
+            raise ValueError("the degenerate canonical form carries no indices")
+        masks = [_mask_of(cond, self.n, "conditioning set"), _mask_of(rep, self.n, "repeated set")]
+        for p in parts:
+            masks.append(_mask_of(p, self.n, "part"))
             if not p:
                 raise ValueError("canonical parts must be non-empty")
-        groups = (self.cond, self.repeated, *self.parts)
-        for a, b in itertools.combinations(range(len(groups)), 2):
-            if groups[a] & groups[b]:
-                raise ValueError("condition, repeated set and parts must be pairwise disjoint")
-        if len(self.parts) == 1:
+        # Adding masks carries exactly where two of them share an index.
+        if sum(m.bit_count() for m in masks) != sum(masks).bit_count():
+            raise ValueError("condition, repeated set and parts must be pairwise disjoint")
+        if len(parts) == 1:
             raise ValueError("a canonical form never has exactly one part")
-        if not self.repeated and not self.parts:
+        if not (self.degenerate or rep or parts):
             raise ValueError("a non-degenerate canonical form needs a repeated set or parts")
+        self._store(masks[0], masks[1], masks[2:])
+
+    @classmethod
+    def _from_masks(
+        cls, n: int, cond: int, rep: int, parts: Iterable[int], degenerate: bool = False
+    ) -> "CanonicalCmi":
+        """Build from masks that already meet the invariants; parts in any order."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degenerate", degenerate)
+        self._store(cond, rep, parts)
+        return self
+
+    def _store(self, cond: int, rep: int, parts: Iterable[int]) -> None:
+        ranked = sorted((_mask_key(m), m) for m in parts)
+        object.__setattr__(self, "cond", frozenset(_indices(cond)))
+        object.__setattr__(self, "repeated", frozenset(_indices(rep)))
+        object.__setattr__(self, "parts", tuple(frozenset(key[1]) for key, _ in ranked))
+        object.__setattr__(self, "_cond", cond)
+        object.__setattr__(self, "_rep", rep)
+        object.__setattr__(self, "_parts", tuple(m for _, m in ranked))
 
     @classmethod
     def degenerate_form(cls, n: int) -> "CanonicalCmi":
-        return cls(n, frozenset(), frozenset(), (), True)
+        _check_ground(n)
+        return cls._from_masks(n, 0, 0, (), True)
 
     def as_cmi(self) -> Cmi:
         """The statement this canonical form denotes, in its general block shape."""
-        if self.degenerate:
-            return Cmi(self.n, frozenset(), ())
         blocks = ((self.repeated, self.repeated) if self.repeated else ()) + self.parts
         return Cmi(self.n, self.cond, blocks)
 
@@ -167,18 +204,25 @@ CANONICAL_CACHE_SIZE = 4096
 
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)
 def canonicalize(k: Cmi) -> CanonicalCmi:
-    """Normal form whose structural equality decides statement equivalence."""
-    p = pure_form(k)
-    if len(p.blocks) <= 1:
+    """Normal form whose structural equality decides statement equivalence.
+
+    Same steps as ``pure_form`` then ``repeated_indices``, on the masks.
+    """
+    free = ~k._cond
+    blocks = [b & free for b in k._blocks if b & free]
+    if len(blocks) <= 1:
         return CanonicalCmi.degenerate_form(k.n)
-    rep = repeated_indices(p)
-    parts = tuple(b - rep for b in p.blocks if b - rep)
+    seen = rep = 0
+    for b in blocks:
+        rep |= seen & b
+        seen |= b
+    parts = [b & ~rep for b in blocks if b & ~rep]
     if rep and len(parts) <= 1:
         # Once the repeated indices are pinned to the condition, a lone
         # leftover part constrains nothing (its independence from the repeated
         # pair is automatic), so it is dropped.
-        parts = ()
-    return CanonicalCmi(k.n, p.cond, rep, parts)
+        parts = []
+    return CanonicalCmi._from_masks(k.n, k._cond, rep, parts)
 
 
 def is_degenerate(k: Cmi) -> bool:
@@ -191,6 +235,16 @@ def _require_same_ground(k: Cmi, k2: Cmi) -> None:
         raise ValueError(f"ground-set sizes differ: {k.n} != {k2.n}")
 
 
+def _residual_masks(c: CanonicalCmi, c2: CanonicalCmi) -> tuple[int, int, list[int]]:
+    """``(cond, repeated, parts)`` of the residual of ``c2`` on ``c``, all empty when it is
+    degenerate.  Parts keep ``c2``'s order, and there are none or at least two."""
+    d = c2._rep & ~c._rep
+    left = [p & ~c._rep for p in c2._parts if p & ~c._rep]
+    if not d and len(left) <= 1:
+        return 0, 0, []
+    return c2._cond & ~c._rep, d, left if len(left) >= 2 else []
+
+
 def residual(k: Cmi, k2: Cmi) -> Cmi:
     """The statement "k2 conditioning on k": k2 with k's repeated indices erased.
 
@@ -201,69 +255,84 @@ def residual(k: Cmi, k2: Cmi) -> Cmi:
     form.
     """
     _require_same_ground(k, k2)
-    ck = canonicalize(k)
-    ck2 = canonicalize(k2)
-    if ck.degenerate:
-        return ck2.as_cmi()
-    rep = ck.repeated
-    cond = ck2.cond - rep
-    d = ck2.repeated - rep
-    leftovers = tuple(p - rep for p in ck2.parts if p - rep)
-    if not d and len(leftovers) <= 1:
-        return Cmi(k.n, frozenset(), ())
-    if not d:
-        return Cmi(k.n, cond, leftovers)
-    if len(leftovers) <= 1:
-        return Cmi(k.n, cond, (d, d))
-    return Cmi(k.n, cond, (d, d) + leftovers)
+    cond, d, left = _residual_masks(canonicalize(k), canonicalize(k2))
+    blocks = ((d, d) if d else ()) + tuple(left)
+    return Cmi(k.n, _indices(cond), tuple(_indices(b) for b in blocks))
 
 
-def is_sub_cmi(k: Cmi, k2: Cmi) -> bool:
-    """Exact combinatorial test that k2 is a consequence of k.
+# Verdicts of the sub-CMI test: it holds, or the first clause that fails.
+HOLDS = "holds"
+CONDITION = "condition not contained"
+REPEATED = "repeated set not covered"
+OUTSIDE = "residual part outside the premise's parts"
+SANDWICH = "condition sandwich violated"
+SHARED = "two residual parts sharing a premise part"
 
-    True when (i) k2 is degenerate; or (ii) the residual of k2 on k is
-    degenerate and k's condition is contained in k2's; or (iii) the residual
-    has no repeated indices, its parts sit inside k's parts, its condition
-    sits between k's condition and everything k mentions outside those
-    residual parts, and any two indices from distinct residual parts lie in
-    distinct parts of k.
+
+def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, tuple[int, ...]]:
+    """The first failing clause of "k implies k2", with the indices it names.
+
+    ``HOLDS`` when k2 is degenerate, or when k's condition is inside k2's, k's
+    repeated set covers k2's, and the residual of k2 on k is degenerate or has
+    its parts inside k's parts, its condition between k's condition and all k
+    mentions outside those residual parts, and any two indices from distinct
+    residual parts in distinct parts of k.  A failed clause names the pivots
+    of a template that satisfies k and violates k2 (see ``witnesses``).
     """
     _require_same_ground(k, k2)
-    ck2 = canonicalize(k2)
-    if ck2.degenerate:
-        return True
-    ck = canonicalize(k)
-    ckk = canonicalize(residual(k, k2))
-    if ckk.degenerate:
-        return ck.cond <= ck2.cond
-    if ckk.repeated:
-        return False
-    pset = frozenset().union(*ck.parts) if ck.parts else frozenset()
-    ppset = frozenset().union(*ckk.parts)
-    if not ppset <= pset:
-        return False
-    s = ck.cond | pset
-    if not (ck.cond <= ckk.cond and ckk.cond <= s - ppset):
-        return False
-    # "Any two indices from distinct residual parts lie in distinct parts of
-    # k": the set of k-parts covering each residual part must be pairwise
-    # disjoint across residual parts.  (A single residual part may span
-    # several k-parts — that is an allowed merge.)
-    covers = [
-        frozenset(i for i, p in enumerate(ck.parts) if p & part) for part in ckk.parts
-    ]
-    for a, b in itertools.combinations(covers, 2):
-        if a & b:
-            return False
-    return True
+    c2 = canonicalize(k2)
+    if c2.degenerate:
+        return HOLDS, ()
+    c = canonicalize(k)
+    rep2, parts2 = c2._rep, c2._parts
+    missing = c._cond & ~c2._cond
+    if missing:
+        # Pivots that all copy one bit seen at m0 in k's condition keep k
+        # valid; k2 does not condition on m0.
+        bit = missing & -missing
+        m0 = bit.bit_length()
+        if rep2:
+            return CONDITION, (m0,) if bit & rep2 else (m0, _low(rep2))
+        hit = next((j for j, part in enumerate(parts2) if bit & part), None)
+        if hit is None:
+            return CONDITION, (m0, _low(parts2[0]), _low(parts2[1]))
+        return CONDITION, (m0, _low(parts2[1 if hit == 0 else 0]))
+    if rep2 & ~c._rep:
+        return REPEATED, (_low(rep2 & ~c._rep),)
+    rcond, _, left = _residual_masks(c, c2)  # no repeated set: k's covers k2's
+    if not left:
+        return HOLDS, ()
+    left.sort(key=_mask_key)
+    # Parts are pairwise disjoint, so their sum is their union.
+    pset, ppset = sum(c._parts), sum(left)
+    outside = ppset & ~pset
+    if outside:
+        if c.degenerate:  # no parts at all: tie k2's first two parts
+            return OUTSIDE, (_low(left[0]), _low(left[1]))
+        j1 = next(j for j, part in enumerate(left) if part & outside & -outside)
+        return OUTSIDE, (_low(outside), _low(left[1 if j1 == 0 else 0]))
+    extra = rcond & ~(c._cond | pset)  # it never meets the residual parts
+    if extra:
+        a, b = left[0] & -left[0], left[1] & -left[1]
+        if any(part & a and part & b for part in c._parts):
+            return SANDWICH, (a.bit_length(), b.bit_length())
+        return SANDWICH, (a.bit_length(), b.bit_length(), _low(extra))
+    for q1, q2 in itertools.combinations(left, 2):
+        for part in c._parts:
+            if q1 & part and q2 & part:
+                return SHARED, (_low(q1 & part), _low(q2 & part))
+    return HOLDS, ()
 
 
 def implies(k: Cmi, k2: Cmi) -> bool:
     """Single-premise implication: every distribution satisfying k satisfies k2.
 
-    Sound and complete; equivalent to ``is_sub_cmi(k, k2)``.
+    Sound and complete: no clause of the sub-CMI test fails.
     """
-    return is_sub_cmi(k, k2)
+    return _sub_cmi_clause(k, k2)[0] == HOLDS
+
+
+is_sub_cmi = implies
 
 
 def equivalent(k: Cmi, k2: Cmi) -> bool:
@@ -278,13 +347,12 @@ def set_implies(premises: Sequence[Cmi], conclusions: Sequence[Cmi]) -> bool:
     Sound for any premise count, but complete only for a single premise; the
     general multi-premise implication problem is out of scope.
     """
-    premises = list(premises)
-    conclusions = list(conclusions)
+    premises, conclusions = list(premises), list(conclusions)
     if not premises:
         raise ValueError("at least one premise is required")
     for stmt in itertools.chain(premises[1:], conclusions):
         _require_same_ground(premises[0], stmt)
-    return all(any(is_sub_cmi(p, c) for p in premises) for c in conclusions)
+    return all(any(implies(p, c) for p in premises) for c in conclusions)
 
 
 def decompose_to_cis(k: Cmi) -> list[Cmi]:
@@ -296,16 +364,11 @@ def decompose_to_cis(k: Cmi) -> list[Cmi]:
     is valid on a distribution exactly when every returned statement is.
     Degenerate input yields an empty list.
     """
-    c = canonicalize(k)
-    if c.degenerate:
-        return []
-    out: list[Cmi] = []
-    if c.repeated:
-        out.append(Cmi(c.n, c.cond, (c.repeated, c.repeated)))
+    c = canonicalize(k)  # the degenerate form has no repeated set and no parts
+    out = [Cmi(c.n, c.cond, (c.repeated, c.repeated))] if c.repeated else []
     acc = c.cond | c.repeated
     for i, part in enumerate(c.parts[:-1]):
-        rest = frozenset().union(*c.parts[i + 1 :])
-        out.append(Cmi(c.n, acc, (part, rest)))
+        out.append(Cmi(c.n, acc, (part, frozenset().union(*c.parts[i + 1 :]))))
         acc |= part
     return out
 
@@ -343,49 +406,38 @@ def weaken(
             if i in seen:
                 raise ValueError(f"block position {i} appears in two groups")
             seen.add(i)
-    merged = tuple(frozenset().union(*(subs[i - 1] for i in a)) if a else frozenset() for a in groups)
+    merged = tuple(frozenset().union(*(subs[i - 1] for i in a)) for a in groups)
     r = _coerce_index_set(extra_cond)
-    all_blocks = frozenset().union(*k.blocks) if k.blocks else frozenset()
-    used = frozenset().union(*merged) if merged else frozenset()
-    if not r <= all_blocks - used:
+    if not r <= frozenset().union(*k.blocks) - frozenset().union(*merged):
         raise ValueError(
             "extra conditioning indices must come from the original blocks and avoid every merged group"
         )
     return Cmi(k.n, k.cond | r, merged)
 
 
-def _subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
+def _submasks(mask: int) -> Iterator[int]:
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
 
 
-def _disjoint_families(avail: tuple[int, ...], t: int) -> Iterator[tuple[IndexSet, ...]]:
-    """Unordered families of ``t`` pairwise-disjoint non-empty subsets of ``avail``.
+def _disjoint_families(avail: int, t: int) -> Iterator[tuple[int, ...]]:
+    """Unordered families of ``t`` pairwise-disjoint non-empty submasks of ``avail``.
 
-    Each family is produced exactly once: its parts are emitted in increasing
-    order of their minimum element.
+    Each family is produced exactly once: a part holding the lowest index of
+    ``avail`` comes first, and families without that index come before it.
     """
     if t == 0:
         yield ()
-        return
-    if not avail:
-        return
-    a, rest = avail[0], avail[1:]
-    yield from _disjoint_families(rest, t)
-    for s in _subsets(rest):
-        part = frozenset((a, *s))
-        remaining = tuple(x for x in rest if x not in part)
-        for others in _disjoint_families(remaining, t - 1):
-            yield (part, *others)
-
-
-def _canonical_key(c: CanonicalCmi):
-    return (
-        0 if c.degenerate else 1,
-        tuple(sorted(c.cond)),
-        tuple(sorted(c.repeated)),
-        tuple(block_key(p) for p in c.parts),
-    )
+    elif avail:
+        low = avail & -avail
+        yield from _disjoint_families(avail ^ low, t)
+        for sub in _submasks(avail ^ low):
+            for others in _disjoint_families(avail ^ low ^ sub, t - 1):
+                yield (low | sub, *others)
 
 
 def enumerate_canonical(n: int, max_blocks: int) -> list[CanonicalCmi]:
@@ -398,18 +450,15 @@ def enumerate_canonical(n: int, max_blocks: int) -> list[CanonicalCmi]:
         raise ValueError(f"enumerate_canonical supports n in 0..5, got {n}")
     if not 0 <= max_blocks <= 4:
         raise ValueError(f"enumerate_canonical supports max_blocks in 0..4, got {max_blocks}")
-    ground = tuple(range(1, n + 1))
+    full = (1 << n) - 1
     out = [CanonicalCmi.degenerate_form(n)]
-    for cond_members in _subsets(ground):
-        rest1 = tuple(i for i in ground if i not in cond_members)
-        for rep_members in _subsets(rest1):
-            rest2 = tuple(i for i in rest1 if i not in rep_members)
-            if rep_members:
-                out.append(CanonicalCmi(n, frozenset(cond_members), frozenset(rep_members), ()))
+    for cond in range(full + 1):
+        for rep in _submasks(full & ~cond):
+            if rep:
+                out.append(CanonicalCmi._from_masks(n, cond, rep, ()))
             for t in range(2, max_blocks + 1):
-                for parts in _disjoint_families(rest2, t):
-                    out.append(
-                        CanonicalCmi(n, frozenset(cond_members), frozenset(rep_members), parts)
-                    )
-    out.sort(key=_canonical_key)
+                for parts in _disjoint_families(full & ~cond & ~rep, t):
+                    out.append(CanonicalCmi._from_masks(n, cond, rep, parts))
+    parts_key = lambda c: [*map(_mask_key, c._parts)]
+    out.sort(key=lambda c: (not c.degenerate, _indices(c._cond), _indices(c._rep), parts_key(c)))
     return out

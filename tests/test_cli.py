@@ -263,3 +263,42 @@ def test_entropy_rejects_ground_set_mismatch_like_check(capsys, tmp_path):
         ("check", "I(1 ; 2)", "--n", "3", "--dist", str(path)),
     ):
         assert run(capsys, *argv) == (2, "", message)
+
+
+@pytest.mark.parametrize("n", [9, 12, 64])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("canon", "I(1,2 ; 2,3 ; 4 ; {n} | 1)"), "I(2 ; 2 ; 3 ; 4 ; {n} | 1)\n"),
+        (("equiv", "I(1,2 ; 2,3 ; 4 ; {n} | 1)", "I(2 ; 2 ; 3 ; 4 ; {n} | 1)"), "EQUIVALENT\n"),
+        (("implies", "I(1,2 ; 2,3 ; 4 ; {n} | 1)", "I(3 ; 4,{n} | 1,2)"), "IMPLIES\n"),
+        (
+            ("decompose", "I(1,2 ; 2,3 ; 4 ; {n} | 1)"),
+            "I(2 ; 2 | 1)\nI(3 ; 4,{n} | 1,2)\nI(4 ; {n} | 1,2,3)\n",
+        ),
+    ],
+)
+def test_verify_beyond_eight_variables(capsys, argv, expected, n):
+    # --verify samples only the mentioned indices, relabelled, so it works at
+    # any ground-set size.
+    argv = [a.format(n=n) for a in argv]
+    code, out, err = run(capsys, *argv, "--n", str(n), "--verify", "--samples", "40")
+    assert (code, out, err) == (0, expected.format(n=n), "")
+
+
+def test_verify_at_large_n_still_catches_a_wrong_verdict(capsys, monkeypatch):
+    monkeypatch.setattr("cmikit.cli.implies", lambda k, k2: True)
+    code, out, err = run(capsys, "implies", "I(1 ; 12)", "I(1 ; 12 | 3)", "--n", "12", "--verify")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: verification failed: sampled distribution satisfies the premise "
+        "but violates the declared consequence\n"
+    )
+
+
+def test_verify_names_its_variable_limit(capsys):
+    code, out, err = run(capsys, "canon", "I(1,2,3,4,5 ; 6,7,8,9 | 10)", "--n", "12", "--verify")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --verify samples at most 8 mentioned variables; these statements mention 10\n"
+    )

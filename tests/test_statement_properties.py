@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from samplers import random_weakening, relabel_cmi
+from samplers import random_cmi, random_weakening, relabel_cmi
+from statements_reference import ref_canonicalize, ref_is_sub_cmi, ref_residual
 from cmikit import (
     Cmi,
     canonicalize,
@@ -125,6 +127,74 @@ def test_random_weakenings_are_implied(k, seed):
     w = random_weakening(random.Random(seed), p)
     assert implies(p, w)
     assert implies(k, w)
+
+
+# --- masks against the frozenset reference, up to n = 64 ---------------------
+
+
+@st.composite
+def wide_pairs(draw):
+    """Two ``samplers.random_cmi`` statements over one n in 1..64.
+
+    The first may gain an empty block, a repeat of a block and the top index
+    n; the second is independent, a reordered copy of the first, a weakening
+    of it, or a weakening changed so that the implication often fails late in
+    the clause order: one more conditioning index, its largest block split in
+    two, or one more index in its last block.
+    """
+    n = draw(st.integers(1, 64))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    k = random_cmi(rng, n)
+    blocks = list(k.blocks)
+    if draw(st.booleans()):
+        blocks.append(frozenset())
+    if blocks and draw(st.booleans()):
+        blocks.append(blocks[draw(st.integers(0, len(blocks) - 1))])
+    if blocks and draw(st.booleans()):
+        blocks[0] |= {n}
+    k = Cmi(n, k.cond, tuple(blocks))
+    kind = draw(st.sampled_from(["independent", "copy", "weakening", "cond", "split", "grow"]))
+    if kind == "independent":
+        return k, random_cmi(rng, n)
+    if kind == "copy":
+        return k, Cmi(n, set(k.cond), tuple(reversed(k.blocks)))
+    w = random_weakening(rng, pure_form(k))
+    blocks = sorted(w.blocks, key=len)
+    if kind == "cond":
+        w = Cmi(n, w.cond | {rng.randint(1, n)}, w.blocks)
+    elif kind == "split" and blocks and len(blocks[-1]) >= 2:
+        big = blocks.pop()
+        w = Cmi(n, w.cond, (*blocks, frozenset({min(big)}), big - {min(big)}))
+    elif kind == "grow" and blocks:
+        w = Cmi(n, w.cond, (*blocks[:-1], blocks[-1] | {rng.randint(1, n)}))
+    return k, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_pairs())
+@example((Cmi(64, {64}, ({1, 64}, {64}, frozenset())), Cmi(64, {64}, ({64}, {1, 64}, frozenset()))))
+def test_mask_equality_is_multiset_equality(pair):
+    k, k2 = pair
+    same = (k.n, k.cond, Counter(k.blocks)) == (k2.n, k2.cond, Counter(k2.blocks))
+    assert (k == k2) == same
+    if same:
+        assert hash(k) == hash(k2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_pairs())
+@example((Cmi(64, set(), ({1, 64}, {2, 63})), Cmi(64, {63}, ({1}, {64}))))
+def test_mask_engine_matches_frozenset_reference(pair):
+    k, k2 = pair
+    for s in (k, k2):
+        c, ref = canonicalize(s), ref_canonicalize(s)
+        assert c == ref
+        assert (c.cond, c.repeated, c.parts, c.degenerate) == (
+            ref.cond, ref.repeated, ref.parts, ref.degenerate
+        )
+    assert implies(k, k2) == ref_is_sub_cmi(k, k2)
+    r, ref = residual(k, k2), ref_residual(k, k2)
+    assert (r, r.cond, r.blocks) == (ref, ref.cond, ref.blocks)
 
 
 # --- exhaustive desk-scale sweeps -------------------------------------------
