@@ -9,8 +9,9 @@ decomposition into a chain of pairwise conditional independencies).
 
 Index sets are public ``frozenset`` fields, mirrored once as ``int`` bitmasks
 (index ``i`` is bit ``i - 1``) for equality, hashing, ``canonicalize`` and one
-clause function, which names the first failing clause of the sub-CMI test.
-``implies`` (alias ``is_sub_cmi``) asks whether none fails.
+clause function, which names the first failing clause of the sub-CMI test and
+the witness template and pivots it plans.  ``implies`` (alias ``is_sub_cmi``)
+asks whether none fails.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ def _coerce_index_set(members: Iterable[int]) -> IndexSet:
     return frozenset(int(i) for i in members)
 
 
-def _mask_of(members: IndexSet, n: int, what: str) -> int:
+def _mask_of(members: Iterable[int], n: int, what: str) -> int:
+    """Bitmask of ``members`` (index ``i`` is bit ``i - 1``); the first member
+    outside ``1..n`` raises "<what> <i> outside the ground set 1..<n>"."""
     mask = 0
     for i in members:
         if not 1 <= i <= n:
-            raise ValueError(f"{what} contains index {i} outside the ground set 1..{n}")
+            raise ValueError(f"{what} {i} outside the ground set 1..{n}")
         mask |= 1 << (i - 1)
     return mask
 
@@ -92,8 +95,8 @@ class Cmi:
         blocks = tuple(_coerce_index_set(b) for b in self.blocks)
         object.__setattr__(self, "cond", cond)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_cond", _mask_of(cond, self.n, "conditioning set"))
-        object.__setattr__(self, "_blocks", tuple(sorted([_mask_of(b, self.n, "block") for b in blocks])))
+        object.__setattr__(self, "_cond", _mask_of(cond, self.n, "conditioning set contains index"))
+        object.__setattr__(self, "_blocks", tuple(sorted([_mask_of(b, self.n, "block contains index") for b in blocks])))
 
     def sorted_blocks(self) -> tuple[IndexSet, ...]:
         return tuple(sorted(self.blocks, key=block_key))
@@ -127,9 +130,9 @@ class CanonicalCmi:
         parts = sorted((_coerce_index_set(p) for p in self.parts), key=block_key)
         if self.degenerate and (cond or rep or parts):
             raise ValueError("the degenerate canonical form carries no indices")
-        masks = [_mask_of(cond, self.n, "conditioning set"), _mask_of(rep, self.n, "repeated set")]
+        masks = [_mask_of(cond, self.n, "conditioning set contains index"), _mask_of(rep, self.n, "repeated set contains index")]
         for p in parts:
-            masks.append(_mask_of(p, self.n, "part"))
+            masks.append(_mask_of(p, self.n, "part contains index"))
             if not p:
                 raise ValueError("canonical parts must be non-empty")
         # Adding masks carries exactly where two of them share an index.
@@ -168,6 +171,8 @@ class CanonicalCmi:
 
     def as_cmi(self) -> Cmi:
         """The statement this canonical form denotes, in its general block shape."""
+        if self.degenerate:
+            return Cmi(self.n, frozenset(), ())
         blocks = ((self.repeated, self.repeated) if self.repeated else ()) + self.parts
         return Cmi(self.n, self.cond, blocks)
 
@@ -268,21 +273,29 @@ OUTSIDE = "residual part outside the premise's parts"
 SANDWICH = "condition sandwich violated"
 SHARED = "two residual parts sharing a premise part"
 
+# Witness templates a failed clause plans (built in ``witnesses``): one uniform
+# bit, two or three copies of it, or two independent bits and their parity.
+SINGLE = "SINGLE"
+COPY2 = "COPY2"
+COPY3 = "COPY3"
+XOR = "XOR"
 
-def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, tuple[int, ...]]:
-    """The first failing clause of "k implies k2", with the indices it names.
+
+def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, str | None, tuple[int, ...]]:
+    """The first failing clause of "k implies k2", its witness template and pivots.
 
     ``HOLDS`` when k2 is degenerate, or when k's condition is inside k2's, k's
     repeated set covers k2's, and the residual of k2 on k is degenerate or has
     its parts inside k's parts, its condition between k's condition and all k
     mentions outside those residual parts, and any two indices from distinct
-    residual parts in distinct parts of k.  A failed clause names the pivots
-    of a template that satisfies k and violates k2 (see ``witnesses``).
+    residual parts in distinct parts of k.  A failed clause names the template,
+    and the pivots to place it at, of a distribution that satisfies k and
+    violates k2.  ``HOLDS`` comes with no template and no pivots.
     """
     _require_same_ground(k, k2)
     c2 = canonicalize(k2)
     if c2.degenerate:
-        return HOLDS, ()
+        return HOLDS, None, ()
     c = canonicalize(k)
     rep2, parts2 = c2._rep, c2._parts
     missing = c._cond & ~c2._cond
@@ -292,36 +305,38 @@ def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, tuple[int, ...]]:
         bit = missing & -missing
         m0 = bit.bit_length()
         if rep2:
-            return CONDITION, (m0,) if bit & rep2 else (m0, _low(rep2))
+            if bit & rep2:
+                return CONDITION, SINGLE, (m0,)
+            return CONDITION, COPY2, (m0, _low(rep2))
         hit = next((j for j, part in enumerate(parts2) if bit & part), None)
         if hit is None:
-            return CONDITION, (m0, _low(parts2[0]), _low(parts2[1]))
-        return CONDITION, (m0, _low(parts2[1 if hit == 0 else 0]))
+            return CONDITION, COPY3, (m0, _low(parts2[0]), _low(parts2[1]))
+        return CONDITION, COPY2, (m0, _low(parts2[1 if hit == 0 else 0]))
     if rep2 & ~c._rep:
-        return REPEATED, (_low(rep2 & ~c._rep),)
+        return REPEATED, SINGLE, (_low(rep2 & ~c._rep),)
     rcond, _, left = _residual_masks(c, c2)  # no repeated set: k's covers k2's
     if not left:
-        return HOLDS, ()
+        return HOLDS, None, ()
     left.sort(key=_mask_key)
     # Parts are pairwise disjoint, so their sum is their union.
     pset, ppset = sum(c._parts), sum(left)
     outside = ppset & ~pset
     if outside:
         if c.degenerate:  # no parts at all: tie k2's first two parts
-            return OUTSIDE, (_low(left[0]), _low(left[1]))
+            return OUTSIDE, COPY2, (_low(left[0]), _low(left[1]))
         j1 = next(j for j, part in enumerate(left) if part & outside & -outside)
-        return OUTSIDE, (_low(outside), _low(left[1 if j1 == 0 else 0]))
+        return OUTSIDE, COPY2, (_low(outside), _low(left[1 if j1 == 0 else 0]))
     extra = rcond & ~(c._cond | pset)  # it never meets the residual parts
     if extra:
         a, b = left[0] & -left[0], left[1] & -left[1]
         if any(part & a and part & b for part in c._parts):
-            return SANDWICH, (a.bit_length(), b.bit_length())
-        return SANDWICH, (a.bit_length(), b.bit_length(), _low(extra))
+            return SANDWICH, COPY2, (a.bit_length(), b.bit_length())
+        return SANDWICH, XOR, (a.bit_length(), b.bit_length(), _low(extra))
     for q1, q2 in itertools.combinations(left, 2):
         for part in c._parts:
             if q1 & part and q2 & part:
-                return SHARED, (_low(q1 & part), _low(q2 & part))
-    return HOLDS, ()
+                return SHARED, COPY2, (_low(q1 & part), _low(q2 & part))
+    return HOLDS, None, ()
 
 
 def implies(k: Cmi, k2: Cmi) -> bool:
@@ -347,7 +362,8 @@ def set_implies(premises: Sequence[Cmi], conclusions: Sequence[Cmi]) -> bool:
     Sound for any premise count, but complete only for a single premise; the
     general multi-premise implication problem is out of scope.
     """
-    premises, conclusions = list(premises), list(conclusions)
+    premises = list(premises)
+    conclusions = list(conclusions)
     if not premises:
         raise ValueError("at least one premise is required")
     for stmt in itertools.chain(premises[1:], conclusions):
@@ -364,11 +380,16 @@ def decompose_to_cis(k: Cmi) -> list[Cmi]:
     is valid on a distribution exactly when every returned statement is.
     Degenerate input yields an empty list.
     """
-    c = canonicalize(k)  # the degenerate form has no repeated set and no parts
-    out = [Cmi(c.n, c.cond, (c.repeated, c.repeated))] if c.repeated else []
+    c = canonicalize(k)
+    if c.degenerate:
+        return []
+    out: list[Cmi] = []
+    if c.repeated:
+        out.append(Cmi(c.n, c.cond, (c.repeated, c.repeated)))
     acc = c.cond | c.repeated
     for i, part in enumerate(c.parts[:-1]):
-        out.append(Cmi(c.n, acc, (part, frozenset().union(*c.parts[i + 1 :]))))
+        rest = frozenset().union(*c.parts[i + 1 :])
+        out.append(Cmi(c.n, acc, (part, rest)))
         acc |= part
     return out
 
@@ -406,9 +427,11 @@ def weaken(
             if i in seen:
                 raise ValueError(f"block position {i} appears in two groups")
             seen.add(i)
-    merged = tuple(frozenset().union(*(subs[i - 1] for i in a)) for a in groups)
+    merged = tuple(frozenset().union(*(subs[i - 1] for i in a)) if a else frozenset() for a in groups)
     r = _coerce_index_set(extra_cond)
-    if not r <= frozenset().union(*k.blocks) - frozenset().union(*merged):
+    all_blocks = frozenset().union(*k.blocks) if k.blocks else frozenset()
+    used = frozenset().union(*merged) if merged else frozenset()
+    if not r <= all_blocks - used:
         raise ValueError(
             "extra conditioning indices must come from the original blocks and avoid every merged group"
         )

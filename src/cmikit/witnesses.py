@@ -3,10 +3,10 @@
 When ``implies(k, k2)`` is false there is always a small counterexample built
 from one or two independent uniform bits placed at a handful of pivot
 variables (every other variable pinned to 0).  There is no separate planner:
-the implication test's clause function names the first failing clause and
-its pivots, and a table maps that clause to a template.  Every candidate is
-re-checked against the exact validity oracle before being returned, with a
-brute-force search over the template family as a safety net.
+the implication test's clause function names the first failing clause, the
+template and its pivots.  Every candidate is re-checked against the exact
+validity oracle before being returned, with a brute-force search over the
+template family as a safety net.
 """
 
 from __future__ import annotations
@@ -15,13 +15,8 @@ import itertools
 from dataclasses import dataclass
 
 from .distributions import JointDistribution, is_valid
-from .statements import CONDITION, HOLDS, OUTSIDE, REPEATED, SANDWICH, SHARED
+from .statements import COPY2, COPY3, HOLDS, SINGLE, XOR
 from .statements import Cmi, _sub_cmi_clause, equivalent, implies
-
-SINGLE = "SINGLE"
-COPY2 = "COPY2"
-COPY3 = "COPY3"
-XOR = "XOR"
 
 TEMPLATES = (SINGLE, COPY2, COPY3, XOR)
 
@@ -45,11 +40,19 @@ def template_distribution(n: int, template: str, pivots: tuple[int, ...]) -> Joi
         if not 1 <= m <= n:
             raise ValueError(f"pivot index {m} outside the ground set 1..{n}")
     weights: dict[tuple[int, ...], int] = {}
-    for u, v in itertools.product((0, 1), repeat=2) if template == XOR else ((0, 0), (1, 1)):
-        row = [0] * n
-        for m, bit in zip(pivots, (u, v, u ^ v) if template == XOR else (u,) * len(pivots)):
-            row[m - 1] = bit
-        weights[tuple(row)] = 1
+    if template == XOR:
+        for u, v in itertools.product((0, 1), repeat=2):
+            row = [0] * n
+            row[pivots[0] - 1] = u
+            row[pivots[1] - 1] = v
+            row[pivots[2] - 1] = u ^ v
+            weights[tuple(row)] = 1
+    else:
+        for u in (0, 1):
+            row = [0] * n
+            for m in pivots:
+                row[m - 1] = u
+            weights[tuple(row)] = 1
     # Every row weighs the same: a uniform pmf over the rows built above.
     return JointDistribution._from_weights((2,) * n, weights, len(weights))
 
@@ -74,27 +77,19 @@ def _try(k: Cmi, k2: Cmi, template: str, pivots: tuple[int, ...]) -> Witness | N
     return None
 
 
-#: The template a failed clause's pivots are planned for, by clause and pivot count.
-PLANNED_TEMPLATE = {
-    (CONDITION, 1): SINGLE, (CONDITION, 2): COPY2, (CONDITION, 3): COPY3,
-    (REPEATED, 1): SINGLE,
-    (OUTSIDE, 2): COPY2,
-    (SANDWICH, 2): COPY2, (SANDWICH, 3): XOR,
-    (SHARED, 2): COPY2,
-}
-
-
 def witness_non_implication(k: Cmi, k2: Cmi) -> Witness:
     """A distribution satisfying ``k`` but not ``k2``; raises if ``k`` implies ``k2``."""
-    clause, pivots = _sub_cmi_clause(k, k2)
+    clause, template, pivots = _sub_cmi_clause(k, k2)
     if clause == HOLDS:
         raise ValueError("implication holds; no separating distribution exists")
-    w = _try(k, k2, PLANNED_TEMPLATE[clause, len(pivots)], pivots)
+    w = _try(k, k2, template, pivots)
     if w is not None:
         return w
     # Safety net: sweep the whole template family over the mentioned indices
     # (plus one fresh index for the parity slot, when available).
-    mentioned = set(k.cond | k2.cond).union(*k.blocks, *k2.blocks)
+    mentioned = set(k.cond) | set(k2.cond)
+    for b in itertools.chain(k.blocks, k2.blocks):
+        mentioned |= b
     fresh = next((i for i in range(1, k.n + 1) if i not in mentioned), None)
     candidates = sorted(mentioned) + ([fresh] if fresh is not None else [])
     for template in TEMPLATES:

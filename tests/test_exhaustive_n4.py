@@ -20,7 +20,6 @@ from fractions import Fraction
 from oracle_reference import brute_valid
 from cmikit import JointDistribution, enumerate_canonical, implies, witness_non_implication
 from cmikit.statements import _sub_cmi_clause
-from cmikit.witnesses import PLANNED_TEMPLATE
 
 N = 4
 
@@ -64,11 +63,10 @@ def test_every_n4_pair_agrees_with_the_oracle_sweep_and_gets_its_planned_witness
         elif not separating:
             edges += 1
         else:
-            clause, pivots = _sub_cmi_clause(ka, kb)
+            _, template, pivots = _sub_cmi_clause(ka, kb)
             w = witness_non_implication(ka, kb)
             j = member_of[w.template, frozenset(w.pivot_indices)]
-            planned = (PLANNED_TEMPLATE[clause, len(pivots)], pivots)
-            if (w.template, w.pivot_indices) != planned or not separating >> j & 1:
+            if (w.template, w.pivot_indices) != (template, pivots) or not separating >> j & 1:
                 wrong.append((a, b, "witness"))
             if w.distribution != dists[j]:
                 wrong.append((a, b, "distribution"))

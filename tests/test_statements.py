@@ -121,6 +121,22 @@ def test_canonical_invariants_are_enforced():
         CanonicalCmi(3, {1}, set(), (), True)  # degenerate carries no indices
 
 
+def test_canonical_constructor_reports_the_first_failed_check():
+    # Condition and repeated set first, then each part in sorted order (range,
+    # then emptiness), then the checks over the whole form.
+    cases = [
+        ({0}, set(), (frozenset(),), "conditioning set contains index 0 outside"),
+        (set(), {4}, ({1}, {1}), "repeated set contains index 4 outside"),
+        (set(), set(), (frozenset(), {9}), "canonical parts must be non-empty"),
+        (set(), set(), ({9}, {1, 2}), "part contains index 9 outside"),
+        (set(), set(), ({1}, {1, 9}), "part contains index 9 outside"),
+        (set(), set(), ({1}, {1, 2}), "pairwise disjoint"),
+    ]
+    for cond, rep, parts, message in cases:
+        with pytest.raises(ValueError, match=message):
+            CanonicalCmi(3, cond, rep, parts)
+
+
 def test_canonical_parts_are_stored_sorted():
     c = CanonicalCmi(4, set(), set(), ({3, 4}, {1}))
     assert c.parts == (frozenset({1}), frozenset({3, 4}))
