@@ -1,12 +1,16 @@
 """End-to-end command-line tests driven through main(): goldens, exits, JSON."""
 
+import argparse
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cmikit import parse_distribution
-from cmikit.cli import main, _color_enabled, _verdict_line
+from cmikit.cli import build_parser, main, _color_enabled, _verdict_line
 
 XOR_TEXT = (
     "vars: X1:2 X2:2 X3:2\n"
@@ -15,6 +19,124 @@ XOR_TEXT = (
     "1 0 1 : 1/4\n"
     "1 1 0 : 1/4\n"
 )
+
+
+XOR_WITNESS = (
+    "# separating distribution: satisfies I(1 ; 2), violates I(1 ; 2 | 3)\n"
+    "# template XOR, pivots 1,2,3\n" + XOR_TEXT
+)
+COPY2_WITNESS = (
+    "# separating distribution: satisfies I(1 ; 2), violates I(1 ; 2,3)\n"
+    "# template COPY2, pivots 3,1\n"
+    "vars: X1:2 X2:2 X3:2\n"
+    "0 0 0 : 1/2\n"
+    "1 0 1 : 1/2\n"
+)
+# `equiv` separates in whichever direction fails; here the second statement
+# is the premise.
+REVERSED_WITNESS = (
+    "# separating distribution: satisfies I(2 ; 3 | 1,4), violates I(1,2 ; 2,3 | 4)\n"
+    "# template COPY2, pivots 1,2\n"
+    "vars: X1:2 X2:2 X3:2 X4:2\n"
+    "0 0 0 0 : 1/2\n"
+    "1 1 0 0 : 1/2\n"
+)
+
+# One pair per decide command and verdict: command, statements, n, exit code,
+# JSON verdict, canonical forms, witness (template, pivots, premise,
+# conclusion, file text) or None, stdout in text mode, and stdout in text mode
+# with --out.
+DECIDE_GOLDENS = [
+    (
+        "equiv", ("I(1,2 ; 2,3 | 1)", "I(2 ; 2 | 1)"), 3, 0, "EQUIVALENT",
+        ["I(2 ; 2 | 1)", "I(2 ; 2 | 1)"], None, "EQUIVALENT\n", "EQUIVALENT\n",
+    ),
+    (
+        "equiv", ("I(1,2 ; 2,3 | 4)", "I(2 ; 3 | 1,4)"), 4, 1, "NOT EQUIVALENT",
+        ["I(1 ; 2 ; 2 ; 3 | 4)", "I(2 ; 3 | 1,4)"],
+        ("COPY2", [1, 2], "I(2 ; 3 | 1,4)", "I(1,2 ; 2,3 | 4)", REVERSED_WITNESS),
+        "NOT EQUIVALENT\n" + REVERSED_WITNESS, "NOT EQUIVALENT\n",
+    ),
+    (
+        "implies", ("I(1 ; 2,3)", "I(1 ; 2)"), 3, 0, "IMPLIES",
+        ["I(1 ; 2,3)", "I(1 ; 2)"], None, "IMPLIES\n", "IMPLIES\n",
+    ),
+    (
+        "implies", ("I(1 ; 2)", "I(1 ; 2,3)"), 3, 1, "DOES NOT IMPLY",
+        ["I(1 ; 2)", "I(1 ; 2,3)"],
+        ("COPY2", [3, 1], "I(1 ; 2)", "I(1 ; 2,3)", COPY2_WITNESS),
+        "DOES NOT IMPLY\n" + COPY2_WITNESS, "DOES NOT IMPLY\n",
+    ),
+    (
+        "witness", ("I(1 ; 2 | 3)", "I(2 ; 1 | 3)"), 3, 1, "IMPLIES",
+        ["I(1 ; 2 | 3)", "I(1 ; 2 | 3)"], None,
+        "IMPLIES (no separating distribution exists)\n",
+        "IMPLIES (no separating distribution exists)\n",
+    ),
+    (
+        "witness", ("I(1 ; 2)", "I(1 ; 2 | 3)"), 3, 0, "DOES NOT IMPLY",
+        ["I(1 ; 2)", "I(1 ; 2 | 3)"],
+        ("XOR", [1, 2, 3], "I(1 ; 2)", "I(1 ; 2 | 3)", XOR_WITNESS),
+        XOR_WITNESS, "",
+    ),
+]
+
+# Every subcommand's help and its arguments in order, -h aside: name, nargs,
+# required, default, type and help.
+VERIFY_OPTIONS = [
+    (
+        "--verify", 0, False, False, None,
+        "cross-check the verdict against the exact oracle on random distributions",
+    ),
+    ("--seed", None, False, 0, "int", "base seed for --verify sampling"),
+    ("--samples", None, False, 200, "_positive_int", "sample count for --verify"),
+]
+ONE_STATEMENT = [
+    ("statement", None, True, None, None, "CMI statement, e.g. 'I(1,2 ; 3 | 4)'"),
+    ("--n", None, True, None, "int", "ground-set size"),
+    ("--json", 0, False, False, None, "emit one JSON object on stdout"),
+]
+TWO_STATEMENTS = [
+    ("statement", None, True, None, None, "premise statement"),
+    ("statement2", None, True, None, None, "conclusion statement"),
+    *ONE_STATEMENT[1:],
+]
+OUT_OPTION = [("--out", None, False, None, None, "write the separating distribution to this file")]
+PARSER_SURFACE = {
+    "canon": ("print the canonical form of a statement", ONE_STATEMENT + VERIFY_OPTIONS),
+    "equiv": (
+        "decide whether two statements are equivalent",
+        TWO_STATEMENTS + VERIFY_OPTIONS + OUT_OPTION,
+    ),
+    "implies": (
+        "decide whether the first statement implies the second",
+        TWO_STATEMENTS + VERIFY_OPTIONS + OUT_OPTION,
+    ),
+    "witness": ("produce a distribution separating two statements", TWO_STATEMENTS + OUT_OPTION),
+    "check": (
+        "test a statement against a distribution file",
+        ONE_STATEMENT
+        + [
+            ("--dist", None, True, None, None, "distribution file to check against"),
+            (
+                "--verify", 0, False, False, None,
+                "cross-check the exact verdict against the entropy defect",
+            ),
+        ],
+    ),
+    "entropy": (
+        "evaluate entropy and defect measures on a distribution",
+        [
+            ("statements", "+", True, None, None, "statements to measure"),
+            *ONE_STATEMENT[1:],
+            ("--dist", None, True, None, None, "distribution file to measure"),
+        ],
+    ),
+    "decompose": (
+        "split a statement into pairwise conditional independencies",
+        ONE_STATEMENT + VERIFY_OPTIONS,
+    ),
+}
 
 
 @pytest.fixture
@@ -125,6 +247,122 @@ def test_witness_when_implication_holds(capsys):
     code, out, _ = run(capsys, "witness", "I(1 ; 2 | 3)", "I(1 ; 2 | 3)", "--n", "3")
     assert code == 1
     assert out == "IMPLIES (no separating distribution exists)\n"
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("case", DECIDE_GOLDENS, ids=lambda c: f"{c[0]}-{c[3]}")
+def test_decide_goldens(capsys, tmp_path, case, json_mode, to_file):
+    command, statements, n, code, verdict, canonical, witness, text, text_with_out = case
+    out_file = tmp_path / "w.dist"
+    argv = [command, *statements, "--n", str(n)]
+    if json_mode:
+        argv.append("--json")
+    if to_file:
+        argv += ["--out", str(out_file)]
+    if json_mode:
+        expected = {"command": command, "verdict": verdict, "canonical": canonical}
+        if witness is not None:
+            template, pivots, premise, conclusion, distribution = witness
+            expected["witness"] = {
+                "template": template,
+                "pivots": pivots,
+                "premise": premise,
+                "conclusion": conclusion,
+                "distribution": distribution,
+            }
+            if to_file:
+                expected["witness"]["file"] = str(out_file)
+        stdout = json.dumps(expected, indent=2) + "\n"
+    else:
+        stdout = text_with_out if to_file else text
+    assert run(capsys, *argv) == (code, stdout, "")
+    written = out_file.read_text() if out_file.exists() else None
+    assert written == (witness[4] if to_file and witness is not None else None)
+
+
+def test_json_text_of_the_other_commands(capsys, xor_file):
+    cases = [
+        (
+            ("canon", "I(1,2 ; 2,3 | 1)", "--n", "3"), 0,
+            {"command": "canon", "canonical": ["I(2 ; 2 | 1)"]},
+        ),
+        (
+            ("check", "I(1 ; 2 | 3)", "--n", "3", "--dist", xor_file), 1,
+            {
+                "command": "check",
+                "verdict": "INVALID",
+                "canonical": ["I(1 ; 2 | 3)"],
+                "values": {"j_value": 1.0},
+            },
+        ),
+        (
+            ("entropy", "I(3)", "I(1 ; 2)", "--n", "3", "--dist", xor_file), 0,
+            {
+                "command": "entropy",
+                "canonical": ["I()", "I(1 ; 2)"],
+                "values": {
+                    "measures": [{"expr": "H(3)", "value": 1.0}, {"expr": "J(1 ; 2)", "value": 0.0}]
+                },
+            },
+        ),
+        (
+            ("decompose", "I(1,2 ; 2,3 ; 4 | 1)", "--n", "4"), 0,
+            {
+                "command": "decompose",
+                "canonical": ["I(2 ; 2 ; 3 ; 4 | 1)"],
+                "values": {"components": ["I(2 ; 2 | 1)", "I(3 ; 4 | 1,2)"]},
+            },
+        ),
+    ]
+    for argv, code, expected in cases:
+        assert run(capsys, *argv, "--json") == (code, json.dumps(expected, indent=2) + "\n", "")
+
+
+def test_parser_surface():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    surface = {
+        name: (
+            helps[name],
+            [
+                (
+                    "/".join(a.option_strings) or a.dest,
+                    a.nargs,
+                    a.required,
+                    a.default,
+                    getattr(a.type, "__name__", None),
+                    a.help,
+                )
+                for a in p._actions
+                if not isinstance(a, argparse._HelpAction)
+            ],
+        )
+        for name, p in sub.choices.items()
+    }
+    assert list(surface) == list(PARSER_SURFACE)
+    for name, expected in PARSER_SURFACE.items():
+        assert surface[name] == expected, name
+
+
+def test_module_entry_point_exit_codes():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def cli(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmikit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert cli("implies", "I(1 ; 2,3)", "I(1 ; 2)", "--n", "3") == (0, "IMPLIES\n", "")
+    assert cli("implies", "I(1 ; 2)", "I(1 ; 2,3)", "--n", "3") == (
+        1, "DOES NOT IMPLY\n" + COPY2_WITNESS, "",
+    )
+    assert cli("canon", "I(1,9)", "--n", "5") == (
+        2, "", "error: line 1, column 5: index 9 outside the ground set 1..5\n",
+    )
 
 
 def test_check_golden_output(capsys, xor_file):
