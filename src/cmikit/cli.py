@@ -44,23 +44,19 @@ def _canonical_text(k: Cmi) -> str:
     return render_cmi(canonicalize(k).as_cmi())
 
 
-def _witness_text(w: Witness) -> str:
-    premise, conclusion = (render_cmi(s) for s in w.direction)
-    header = [
-        f"# separating distribution: satisfies {premise}, violates {conclusion}",
-        f"# template {w.template}, pivots {','.join(map(str, w.pivot_indices))}",
-    ]
-    return "\n".join(header) + "\n" + render_distribution(w.distribution)
-
-
 def _emit_witness(w: Witness, out: str | None) -> dict:
     """Write the witness file if requested; return its JSON description."""
-    text = _witness_text(w)
+    premise, conclusion = (render_cmi(s) for s in w.direction)
+    text = (
+        f"# separating distribution: satisfies {premise}, violates {conclusion}\n"
+        f"# template {w.template}, pivots {','.join(map(str, w.pivot_indices))}\n"
+        + render_distribution(w.distribution)
+    )
     payload = {
         "template": w.template,
         "pivots": list(w.pivot_indices),
-        "premise": render_cmi(w.direction[0]),
-        "conclusion": render_cmi(w.direction[1]),
+        "premise": premise,
+        "conclusion": conclusion,
         "distribution": text,
     }
     if out is not None:
@@ -109,104 +105,87 @@ def _verify(
             raise RuntimeError(f"verification failed: sampled distribution {failure}")
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _print_json(
+    args: argparse.Namespace, statements: list[Cmi], verdict: str | None = None, **fields: object
+) -> None:
+    """Print the command's one JSON object.
+
+    Its keys, in order: the command, the verdict if there is one, the
+    statements' canonical forms, then those of ``fields`` that are not None.
+    """
+    payload = {
+        "command": args.command,
+        "verdict": verdict,
+        "canonical": [_canonical_text(k) for k in statements],
+        **fields,
+    }
+    print(json.dumps({key: v for key, v in payload.items() if v is not None}, indent=2))
 
 
 def cmd_canon(args: argparse.Namespace) -> int:
     k = parse_cmi(args.statement, args.n)
-    canonical = _canonical_text(k)
     if args.verify:
         _verify(args, [k, canonicalize(k).as_cmi()], _EQUIVALENT)
     if args.json:
-        _print_json({"command": "canon", "canonical": [canonical]})
+        _print_json(args, [k])
     else:
-        print(canonical)
+        print(_canonical_text(k))
     return 0
 
 
-def cmd_equiv(args: argparse.Namespace) -> int:
+# Per decide command: the test, its verdicts (yes, no), the separating witness
+# for a "no", and what --verify demands of a "yes" (`witness` has no --verify).
+# The lambdas look the functions up in this module when the command runs, so a
+# rebinding of, say, ``cli.implies`` is the one that decides.
+_DECIDE = {
+    "equiv": (
+        lambda k, k2: equivalent(k, k2),
+        ("EQUIVALENT", "NOT EQUIVALENT"),
+        lambda k, k2: witness_non_equivalence(k, k2),
+        _EQUIVALENT,
+    ),
+    "implies": (
+        lambda k, k2: implies(k, k2),
+        ("IMPLIES", "DOES NOT IMPLY"),
+        lambda k, k2: witness_non_implication(k, k2),
+        _ENTAILED,
+    ),
+    "witness": (
+        lambda k, k2: implies(k, k2),
+        ("IMPLIES", "DOES NOT IMPLY"),
+        lambda k, k2: witness_non_implication(k, k2),
+        None,
+    ),
+}
+
+
+def cmd_decide(args: argparse.Namespace) -> int:
+    """Decide `equiv`, `implies` or `witness` for two statements.
+
+    `witness` inverts the outcome: it succeeds when a separating distribution
+    exists, and then prints only that distribution.
+    """
+    test, verdicts, separate, demand = _DECIDE[args.command]
+    inverted = args.command == "witness"
     k = parse_cmi(args.statement, args.n)
     k2 = parse_cmi(args.statement2, args.n)
-    answer = equivalent(k, k2)
-    verdict = "EQUIVALENT" if answer else "NOT EQUIVALENT"
+    answer = test(k, k2)
+    verdict = verdicts[0] if answer else verdicts[1]
     witness_payload = None
     if not answer:
-        witness_payload = _emit_witness(witness_non_equivalence(k, k2), args.out)
-    if args.verify and answer:
-        _verify(args, [k, k2], _EQUIVALENT)
+        witness_payload = _emit_witness(separate(k, k2), args.out)
+    elif demand is not None and args.verify:
+        _verify(args, [k, k2], demand)
     if args.json:
-        payload = {
-            "command": "equiv",
-            "verdict": verdict,
-            "canonical": [_canonical_text(k), _canonical_text(k2)],
-        }
-        if witness_payload is not None:
-            payload["witness"] = witness_payload
-        _print_json(payload)
+        _print_json(args, [k, k2], verdict, witness=witness_payload)
     else:
-        print(_verdict_line(verdict, answer))
+        if not inverted:
+            print(_verdict_line(verdict, answer))
+        elif answer:
+            print(_verdict_line(f"{verdict} (no separating distribution exists)", False))
         if witness_payload is not None and args.out is None:
             print(witness_payload["distribution"], end="")
-    return 0 if answer else 1
-
-
-def cmd_implies(args: argparse.Namespace) -> int:
-    k = parse_cmi(args.statement, args.n)
-    k2 = parse_cmi(args.statement2, args.n)
-    answer = implies(k, k2)
-    verdict = "IMPLIES" if answer else "DOES NOT IMPLY"
-    witness_payload = None
-    if not answer:
-        witness_payload = _emit_witness(witness_non_implication(k, k2), args.out)
-    if args.verify and answer:
-        _verify(args, [k, k2], _ENTAILED)
-    if args.json:
-        payload = {
-            "command": "implies",
-            "verdict": verdict,
-            "canonical": [_canonical_text(k), _canonical_text(k2)],
-        }
-        if witness_payload is not None:
-            payload["witness"] = witness_payload
-        _print_json(payload)
-    else:
-        print(_verdict_line(verdict, answer))
-        if witness_payload is not None and args.out is None:
-            print(witness_payload["distribution"], end="")
-    return 0 if answer else 1
-
-
-def cmd_witness(args: argparse.Namespace) -> int:
-    k = parse_cmi(args.statement, args.n)
-    k2 = parse_cmi(args.statement2, args.n)
-    if implies(k, k2):
-        verdict = "IMPLIES"
-        if args.json:
-            _print_json(
-                {
-                    "command": "witness",
-                    "verdict": verdict,
-                    "canonical": [_canonical_text(k), _canonical_text(k2)],
-                }
-            )
-        else:
-            print(_verdict_line("IMPLIES (no separating distribution exists)", False))
-        return 1
-    w = witness_non_implication(k, k2)
-    witness_payload = _emit_witness(w, args.out)
-    if args.json:
-        _print_json(
-            {
-                "command": "witness",
-                "verdict": "DOES NOT IMPLY",
-                "canonical": [_canonical_text(k), _canonical_text(k2)],
-                "witness": witness_payload,
-            }
-        )
-    elif args.out is None:
-        print(witness_payload["distribution"], end="")
-    return 0
+    return 1 if answer == inverted else 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -221,14 +200,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     verdict = "VALID" if answer else "INVALID"
     if args.json:
-        _print_json(
-            {
-                "command": "check",
-                "verdict": verdict,
-                "canonical": [_canonical_text(k)],
-                "values": {"j_value": j},
-            }
-        )
+        _print_json(args, [k], verdict, values={"j_value": j})
     else:
         print(_verdict_line(verdict, answer))
         print(f"J = {j:.12f}")
@@ -250,15 +222,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     statements = [parse_cmi(expr, args.n) for expr in args.statements]
     measures = [_measure(p, k) for k in statements]
     if args.json:
-        _print_json(
-            {
-                "command": "entropy",
-                "canonical": [_canonical_text(k) for k in statements],
-                "values": {
-                    "measures": [{"expr": label, "value": value} for label, value in measures]
-                },
-            }
-        )
+        measured = [{"expr": label, "value": value} for label, value in measures]
+        _print_json(args, statements, values={"measures": measured})
     else:
         for label, value in measures:
             print(f"{label} = {value:.12f}")
@@ -272,27 +237,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         _verify(args, [k, *components], _DECOMPOSED)
     rendered = [render_cmi(c) for c in components]
     if args.json:
-        _print_json(
-            {
-                "command": "decompose",
-                "canonical": [_canonical_text(k)],
-                "values": {"components": rendered},
-            }
-        )
+        _print_json(args, [k], values={"components": rendered})
     else:
         for line in rendered:
             print(line)
     return 0
-
-
-def _add_common(p: argparse.ArgumentParser, statements: int) -> None:
-    if statements == 1:
-        p.add_argument("statement", help="CMI statement, e.g. 'I(1,2 ; 3 | 4)'")
-    else:
-        p.add_argument("statement", help="premise statement")
-        p.add_argument("statement2", help="conclusion statement")
-    p.add_argument("--n", type=int, required=True, help="ground-set size")
-    p.add_argument("--json", action="store_true", help="emit one JSON object on stdout")
 
 
 def _positive_int(text: str) -> int:
@@ -305,67 +254,64 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_verify(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="cross-check the verdict against the exact oracle on random distributions",
-    )
-    p.add_argument("--seed", type=int, default=0, help="base seed for --verify sampling")
-    p.add_argument("--samples", type=_positive_int, default=200, help="sample count for --verify")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmikit",
         description="decision engine and exact oracle for conditional mutual independence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("canon", help="print the canonical form of a statement")
-    _add_common(p, 1)
-    _add_verify(p)
-    p.set_defaults(handler=cmd_canon)
-
-    p = sub.add_parser("equiv", help="decide whether two statements are equivalent")
-    _add_common(p, 2)
-    _add_verify(p)
-    p.add_argument("--out", help="write the separating distribution to this file")
-    p.set_defaults(handler=cmd_equiv)
-
-    p = sub.add_parser("implies", help="decide whether the first statement implies the second")
-    _add_common(p, 2)
-    _add_verify(p)
-    p.add_argument("--out", help="write the separating distribution to this file")
-    p.set_defaults(handler=cmd_implies)
-
-    p = sub.add_parser("witness", help="produce a distribution separating two statements")
-    _add_common(p, 2)
-    p.add_argument("--out", help="write the separating distribution to this file")
-    p.set_defaults(handler=cmd_witness)
-
-    p = sub.add_parser("check", help="test a statement against a distribution file")
-    _add_common(p, 1)
-    p.add_argument("--dist", required=True, help="distribution file to check against")
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="cross-check the exact verdict against the entropy defect",
-    )
-    p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser("entropy", help="evaluate entropy and defect measures on a distribution")
-    p.add_argument("statements", nargs="+", help="statements to measure")
-    p.add_argument("--n", type=int, required=True, help="ground-set size")
-    p.add_argument("--json", action="store_true", help="emit one JSON object on stdout")
-    p.add_argument("--dist", required=True, help="distribution file to measure")
-    p.set_defaults(handler=cmd_entropy)
-
-    p = sub.add_parser("decompose", help="split a statement into pairwise conditional independencies")
-    _add_common(p, 1)
-    _add_verify(p)
-    p.set_defaults(handler=cmd_decompose)
-
+    # name, help, statements taken (1, 2 or "+"), handler, extra flags: "dist",
+    # "defect" (check's --verify), "verify" (--verify on samples) and "out".
+    for name, help_text, arity, handler, extra in (
+        ("canon", "print the canonical form of a statement", 1, cmd_canon, ("verify",)),
+        ("equiv", "decide whether two statements are equivalent", 2, cmd_decide, ("verify", "out")),
+        (
+            "implies", "decide whether the first statement implies the second", 2, cmd_decide,
+            ("verify", "out"),
+        ),
+        ("witness", "produce a distribution separating two statements", 2, cmd_decide, ("out",)),
+        ("check", "test a statement against a distribution file", 1, cmd_check, ("dist", "defect")),
+        (
+            "entropy", "evaluate entropy and defect measures on a distribution", "+", cmd_entropy,
+            ("dist",),
+        ),
+        (
+            "decompose", "split a statement into pairwise conditional independencies", 1,
+            cmd_decompose, ("verify",),
+        ),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        if arity == 1:
+            p.add_argument("statement", help="CMI statement, e.g. 'I(1,2 ; 3 | 4)'")
+        elif arity == 2:
+            p.add_argument("statement", help="premise statement")
+            p.add_argument("statement2", help="conclusion statement")
+        else:
+            p.add_argument("statements", nargs=arity, help="statements to measure")
+        p.add_argument("--n", type=int, required=True, help="ground-set size")
+        p.add_argument("--json", action="store_true", help="emit one JSON object on stdout")
+        if "dist" in extra:
+            what = "check against" if name == "check" else "measure"
+            p.add_argument("--dist", required=True, help=f"distribution file to {what}")
+        if "defect" in extra:
+            p.add_argument(
+                "--verify",
+                action="store_true",
+                help="cross-check the exact verdict against the entropy defect",
+            )
+        if "verify" in extra:
+            p.add_argument(
+                "--verify",
+                action="store_true",
+                help="cross-check the verdict against the exact oracle on random distributions",
+            )
+            p.add_argument("--seed", type=int, default=0, help="base seed for --verify sampling")
+            p.add_argument(
+                "--samples", type=_positive_int, default=200, help="sample count for --verify"
+            )
+        if "out" in extra:
+            p.add_argument("--out", help="write the separating distribution to this file")
+        p.set_defaults(handler=handler)
     return parser
 
 
