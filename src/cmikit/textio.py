@@ -64,7 +64,7 @@ class _Cursor:
 def _parse_index(cur: _Cursor, n: int) -> int:
     cur.skip_ws()
     start = cur.pos
-    while cur.peek().isdigit():
+    while cur.peek().isdecimal():
         cur.pos += 1
     if cur.pos == start:
         found = repr(cur.peek()) if cur.peek() else "end of input"
@@ -170,7 +170,7 @@ def parse_distribution(text: str) -> JointDistribution:
             for m in specs:
                 name, sep, size_text = m.group().rpartition(":")
                 col = offset + m.start() + 1
-                if not sep or not name or not size_text.isdigit():
+                if not sep or not name or not size_text.isdecimal():
                     raise ParseError(
                         lineno, col, f"bad variable declaration {m.group()!r}; expected NAME:SIZE"
                     )
@@ -190,7 +190,7 @@ def parse_distribution(text: str) -> JointDistribution:
         outcome: list[int] = []
         for i, m in enumerate(sym_tokens):
             col = m.start() + 1
-            if not m.group().isdigit():
+            if not m.group().isdecimal():
                 raise ParseError(lineno, col, f"bad symbol {m.group()!r}; expected an integer")
             s = int(m.group())
             if not 0 <= s < sizes[i]:

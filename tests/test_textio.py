@@ -125,6 +125,28 @@ def test_parse_distribution_error_lines():
         assert fragment in str(exc.value), text
 
 
+def test_non_decimal_digits_are_parse_errors():
+    # str.isdigit() accepts superscripts, which int() rejects; they must give a
+    # ParseError with a position, not a bare ValueError from int().
+    cases = [
+        (lambda: parse_cmi("I(²;1)", 3), 1, 3, "expected a variable index, found '²'"),
+        (lambda: parse_cmi("I(1 ; 2 | ³)", 5), 1, 11, "expected a variable index, found '³'"),
+        (lambda: parse_distribution("vars: X:²\n0 : 1/1\n"), 1, 7, "bad variable declaration"),
+        (lambda: parse_distribution("vars: X:2\n² : 1/1\n"), 2, 1, "bad symbol '²'"),
+    ]
+    for parse, line, column, fragment in cases:
+        with pytest.raises(ParseError) as exc:
+            parse()
+        assert (exc.value.line, exc.value.column) == (line, column), fragment
+        assert fragment in str(exc.value)
+
+
+def test_decimal_digits_of_other_scripts_parse():
+    assert parse_cmi("I(1;٣)", 3) == Cmi(3, set(), ({1}, {3}))
+    p = parse_distribution("vars: X:٢\n٠ : 1/2\n١ : 1/2\n")
+    assert p.alphabet_sizes == (2,) and p.pmf == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+
+
 def test_render_distribution_golden():
     p = JointDistribution(
         (2, 3), {(1, 2): Fraction(1, 2), (0, 0): Fraction(2, 8), (0, 2): Fraction(1, 4)}
