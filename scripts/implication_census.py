@@ -2,12 +2,14 @@
 """Census of the implication order between canonical statement classes.
 
 Enumerates every canonical form over a small ground set, decides implication
-for all ordered pairs, and for each failed implication builds the separating
-distribution, tallying which counterexample template it used and, against
-the failing clause of the sub-CMI test, a clause x template histogram.
-Useful for eyeballing how the implication lattice and the witness case split
-behave as the ground set grows.  Exits 1 if any witness is not the one its
-clause planned, that is if the brute-force safety net ever had to run.
+for all ordered pairs with the sub-CMI clause function (``implies`` is true
+exactly when it says "holds"), and for each failed implication builds the
+separating distribution, tallying which counterexample template it used and,
+against the failing clause, a clause x template histogram.  Useful for
+eyeballing how the implication lattice and the witness case split behave as
+the ground set grows.  Every witness is verified exactly by the library, which
+raises if the planned template fails; the script also exits 1 if any witness
+is not the one the failing clause planned.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from cmikit import TEMPLATES, enumerate_canonical, implies, render_cmi, witness_non_implication
-from cmikit.statements import CONDITION, OUTSIDE, REPEATED, SANDWICH, SHARED, _sub_cmi_clause
+from cmikit import TEMPLATES, enumerate_canonical, render_cmi, witness_non_implication
+from cmikit.statements import CONDITION, HOLDS, OUTSIDE, REPEATED, SANDWICH, SHARED, _sub_cmi_clause
 
 
 @dataclass
@@ -54,12 +56,12 @@ def main(argv: list[str] | None = None) -> int:
         for b, kb in enumerate(statements):
             if a == b:
                 continue
-            if implies(ka, kb):
+            clause, template, pivots = _sub_cmi_clause(ka, kb)
+            if clause == HOLDS:
                 edges += 1
                 if cfg.show_edges:
                     print(f"  {render_cmi(ka)}  =>  {render_cmi(kb)}")
             else:
-                clause, template, pivots = _sub_cmi_clause(ka, kb)
                 w = witness_non_implication(ka, kb)
                 templates[w.template] += 1
                 by_clause[clause, w.template] += 1

@@ -106,17 +106,23 @@ def _verify(
 
 
 def _print_json(
-    args: argparse.Namespace, statements: list[Cmi], verdict: str | None = None, **fields: object
+    args: argparse.Namespace,
+    statements: list[Cmi],
+    verdict: str | None = None,
+    *,
+    render: Callable[[Cmi], str] = _canonical_text,
+    **fields: object,
 ) -> None:
     """Print the command's one JSON object.
 
     Its keys, in order: the command, the verdict if there is one, the
-    statements' canonical forms, then those of ``fields`` that are not None.
+    statements' canonical forms (as ``render`` writes them), then those of
+    ``fields`` that are not None.
     """
     payload = {
         "command": args.command,
         "verdict": verdict,
-        "canonical": [_canonical_text(k) for k in statements],
+        "canonical": [render(k) for k in statements],
         **fields,
     }
     print(json.dumps({key: v for key, v in payload.items() if v is not None}, indent=2))
@@ -223,7 +229,10 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     measures = [_measure(p, k) for k in statements]
     if args.json:
         measured = [{"expr": label, "value": value} for label, value in measures]
-        _print_json(args, statements, values={"measures": measured})
+        # A statement measured as an entropy is reported as written: its
+        # canonical form is the degenerate I().
+        render = lambda k: render_cmi(k) if len(k.blocks) <= 1 else _canonical_text(k)
+        _print_json(args, statements, render=render, values={"measures": measured})
     else:
         for label, value in measures:
             print(f"{label} = {value:.12f}")

@@ -37,6 +37,13 @@ TOLERANCE = 1e-9
 #: cache saves under 1% of op time at either size.
 PROJECTOR_CACHE_SIZE = 256
 
+#: Marginal tables one distribution keeps, its full pmf included.  All 2**8
+#: marginals of a distribution over up to 8 variables fit (a planted oracle
+#: distribution holds 58-103 after its 24 queries), so only wider ones ever
+#: drop back to the full table.  That bounds what a long-lived distribution,
+#: such as a memoised witness template over 64 variables, holds.
+MARGINAL_CACHE_SIZE = 256
+
 
 @lru_cache(maxsize=PROJECTOR_CACHE_SIZE)
 def _projector(src: int, dst: int) -> Callable[[Assignment], Assignment]:
@@ -162,10 +169,13 @@ class JointDistribution:
         counts = self._counts.get(mask)
         if counts is not None:
             return counts
+        if len(self._counts) >= MARGINAL_CACHE_SIZE:
+            self._counts = {(1 << self.n) - 1: self._weights}
         # Sum out of the smallest cached marginal that covers ``mask``; the full
-        # pmf, cached first, always qualifies.
+        # pmf, cached first, always qualifies.  The search reads a snapshot: a
+        # memoised witness template is shared, and another thread may add a table.
         src_mask, src = (1 << self.n) - 1, self._weights
-        for m, c in self._counts.items():
+        for m, c in list(self._counts.items()):
             if len(c) < len(src) and not mask & ~m:
                 src_mask, src = m, c
         project = _projector(src_mask, mask)
@@ -266,6 +276,10 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     sides are zero).  The joint support given ``y`` lies inside the product,
     so it must fill it: ``|supp(parts | y)| == prod_j |supp(part_j | y)|``.
     Once that holds, one walk over the joint support covers every combination.
+    With a single conditioning class (an empty condition, or one constant on
+    the support, as on most witness templates) the conditional supports are
+    the part marginals themselves and ``c(y)`` is the denominator, so neither
+    the size check nor the scale needs a per-class table.
     """
     require_matching_arity(p, k)
     c = canonicalize(k)
@@ -285,25 +299,31 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     t = len(c._parts)
     joint_mask = cond | sum(c._parts)  # the parts are disjoint
     joint = p._marginal_counts(joint_mask)
-    cond_of = _projector(joint_mask, cond)
-    part_masks = [cond | part for part in c._parts]
-    part_counts = [p._marginal_counts(mask) for mask in part_masks]
-    part_supports = [
-        Counter(map(_projector(mask, cond), counts))
-        for mask, counts in zip(part_masks, part_counts)
-    ]
-    for y, size in Counter(map(cond_of, joint)).items():
-        if size != math.prod(support[y] for support in part_supports):
+    part_counts = [p._marginal_counts(cond | part) for part in c._parts]
+    cond_counts = p._marginal_counts(cond)
+    one_class = len(cond_counts) == 1
+    if one_class:
+        if len(joint) != math.prod(map(len, part_counts)):
             return False
-    scale = {y: cy ** (t - 1) for y, cy in p._marginal_counts(cond).items()}
+        scale = p._denominator ** (t - 1)
+    else:
+        cond_of = _projector(joint_mask, cond)
+        part_supports = [
+            Counter(map(_projector(cond | part, cond), counts))
+            for part, counts in zip(c._parts, part_counts)
+        ]
+        for y, size in Counter(map(cond_of, joint)).items():
+            if size != math.prod(support[y] for support in part_supports):
+                return False
+        scale = {y: cy ** (t - 1) for y, cy in cond_counts.items()}
     lookups = [
-        (_projector(joint_mask, mask), counts) for mask, counts in zip(part_masks, part_counts)
+        (_projector(joint_mask, cond | part), counts) for part, counts in zip(c._parts, part_counts)
     ]
     for outcome, czy in joint.items():
         rhs = 1
         for part_of, counts in lookups:
             rhs *= counts[part_of(outcome)]
-        if czy * scale[cond_of(outcome)] != rhs:
+        if czy * (scale if one_class else scale[cond_of(outcome)]) != rhs:
             return False
     return True
 

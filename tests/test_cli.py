@@ -300,7 +300,7 @@ def test_json_text_of_the_other_commands(capsys, xor_file):
             ("entropy", "I(3)", "I(1 ; 2)", "--n", "3", "--dist", xor_file), 0,
             {
                 "command": "entropy",
-                "canonical": ["I()", "I(1 ; 2)"],
+                "canonical": ["I(3)", "I(1 ; 2)"],
                 "values": {
                     "measures": [{"expr": "H(3)", "value": 1.0}, {"expr": "J(1 ; 2)", "value": 0.0}]
                 },

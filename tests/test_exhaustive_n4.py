@@ -7,18 +7,16 @@ distribution when ``brute_valid`` (the definitional decider, not
 18-member template family satisfies the premise and violates the
 conclusion.  ``implies`` must agree with the sweep, and every failed
 implication must get its planned witness, a family member that separates
-the pair, so the safety net never runs.  A digest of every witness's
-template and pivots pins them to those of the frozenset-based planner that
-the clause function replaced.
+the pair.  A digest of every witness's template and pivots pins them to
+those of the frozenset-based planner that the clause function replaced.
 """
 
 import hashlib
 import itertools
 from collections import Counter
-from fractions import Fraction
 
-from oracle_reference import brute_valid
-from cmikit import JointDistribution, enumerate_canonical, implies, witness_non_implication
+from oracle_reference import brute_valid, family_distribution, template_family
+from cmikit import enumerate_canonical, implies, witness_non_implication
 from cmikit.statements import _sub_cmi_clause
 
 N = 4
@@ -26,33 +24,14 @@ N = 4
 #: sha256 of the lines "a b template pivots" over the failing pairs, in order.
 WITNESS_DIGEST = "d1474097e35ed6a2ae33c552954204b57b2606ec503ff49f2b56235550396089"
 
-# One member per template and pivot set; every template is symmetric in its pivots.
-FAMILY = [
-    (template, pivots)
-    for template, arity in (("SINGLE", 1), ("COPY2", 2), ("COPY3", 3), ("XOR", 3))
-    for pivots in itertools.combinations(range(1, N + 1), arity)
-]
-
-
-def family_distribution(template, pivots):
-    """Uniform over the rows that put the template's bits at the pivots, 0 elsewhere."""
-    if template == "XOR":
-        rows = [(u, v, u ^ v) for u in (0, 1) for v in (0, 1)]
-    else:
-        rows = [(u,) * len(pivots) for u in (0, 1)]
-    pmf = {}
-    for bits in rows:
-        outcome = [0] * N
-        for m, bit in zip(pivots, bits):
-            outcome[m - 1] = bit
-        pmf[tuple(outcome)] = Fraction(1, len(rows))
-    return JointDistribution((2,) * N, pmf)
+# One member per template and pivot set.
+FAMILY = template_family(range(1, N + 1))
 
 
 def test_every_n4_pair_agrees_with_the_oracle_sweep_and_gets_its_planned_witness():
     statements = [c.as_cmi() for c in enumerate_canonical(N, 3)]
     assert len(FAMILY) == 18 and len(statements) == 181
-    dists = [family_distribution(*member) for member in FAMILY]
+    dists = [family_distribution(N, *member) for member in FAMILY]
     member_of = {(t, frozenset(pivots)): j for j, (t, pivots) in enumerate(FAMILY)}
     holds_on = [sum(1 << j for j, p in enumerate(dists) if brute_valid(p, k)) for k in statements]
     edges, templates, wrong, digest = 0, Counter(), [], hashlib.sha256()

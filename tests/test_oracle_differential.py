@@ -8,13 +8,24 @@ agree with it through the tolerance bridge (``|J| <= TOLERANCE`` iff valid).
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import cmikit.distributions
 from oracle_reference import brute_valid
 from samplers import random_cmi, random_joint
-from cmikit import TOLERANCE, Cmi, JointDistribution, is_valid, j_value
+from cmikit import (
+    TOLERANCE,
+    Cmi,
+    JointDistribution,
+    canonicalize,
+    is_valid,
+    j_value,
+    template_distribution,
+)
 
 
 def assert_agree(p: JointDistribution, k: Cmi) -> None:
@@ -97,6 +108,75 @@ def statements(draw, n):
 @given(sixths_pmfs(), st.data())
 def test_is_valid_matches_brute_force_on_mixed_denominators(p, data):
     assert_agree(p, data.draw(statements(p.n)))
+
+
+# --- one conditioning class: an empty or a constant condition -----------------
+
+
+def one_class(p: JointDistribution, k: Cmi) -> bool:
+    """True when the canonical condition of ``k`` takes one value on the support of ``p``."""
+    cond = sorted(canonicalize(k).cond)
+    return len({tuple(o[i - 1] for i in cond) for o in p.pmf}) == 1
+
+
+def test_is_valid_matches_brute_force_on_every_small_template():
+    rng = random.Random(20261018)
+    verdicts = Counter()
+    for n in range(1, 5):
+        for template, arity in (("SINGLE", 1), ("COPY2", 2), ("COPY3", 3), ("XOR", 3)):
+            for pivots in itertools.permutations(range(1, n + 1), arity):
+                p = template_distribution(n, template, pivots)
+                for _ in range(12):
+                    k = random_cmi(rng, n)
+                    valid = is_valid(p, k)
+                    assert valid == brute_valid(p, k), (template, pivots, k)
+                    if len(k.blocks) >= 2:
+                        verdicts[one_class(p, k), valid] += 1
+    # Both verdicts, with one conditioning class and with several.
+    assert min(verdicts[key] for key in itertools.product((True, False), repeat=2)) >= 30, verdicts
+
+
+@st.composite
+def constant_condition_cases(draw):
+    """A sixths pmf widened by one constant variable, and a statement on it whose
+    condition is empty or that constant variable."""
+    p = draw(sixths_pmfs())
+    at = draw(st.integers(0, p.n))
+    size = draw(st.integers(1, 3))
+    value = draw(st.integers(0, size - 1))
+    sizes = (*p.alphabet_sizes[:at], size, *p.alphabet_sizes[at:])
+    wide = JointDistribution(sizes, {(*o[:at], value, *o[at:]): q for o, q in p.pmf.items()})
+    k = draw(statements(p.n))
+    shift = lambda s: {i + (i > at) for i in s}
+    cond = draw(st.sampled_from((set(), {at + 1})))
+    return wide, Cmi(p.n + 1, cond, tuple(shift(b) for b in k.blocks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(constant_condition_cases())
+def test_is_valid_matches_brute_force_under_an_empty_or_constant_condition(case):
+    p, k = case
+    assert one_class(p, k)
+    assert_agree(p, k)
+
+
+def test_one_class_support_precheck_rejects_before_the_identity_walk(monkeypatch):
+    # X1 = X2, a uniform bit: the joint support {00, 11} does not fill the
+    # product of the part supports, so the size precheck alone says no.  The
+    # identity walk would say no too, so only its absence shows the precheck.
+    k = Cmi(2, set(), ({1}, {2}))
+    copy2 = template_distribution(2, "COPY2", (1, 2))
+    single = template_distribution(2, "SINGLE", (1,))
+    # Cache every marginal the checks read; after this, only the walk builds projectors.
+    assert (is_valid(copy2, k), is_valid(single, k)) == (False, True)
+
+    def projector(src, dst):
+        raise AssertionError("the identity walk ran")
+
+    monkeypatch.setattr(cmikit.distributions, "_projector", projector)
+    assert not is_valid(copy2, k)
+    with pytest.raises(AssertionError, match="identity walk"):
+        is_valid(single, k)
 
 
 def test_hand_built_mixed_denominators_and_zero_rows():

@@ -6,7 +6,7 @@ from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
-from samplers import random_cmi, random_weakening, relabel_cmi
+from samplers import random_cmi, random_weakening, relabel_cmi, wide_pairs
 from statements_reference import ref_canonicalize, ref_is_sub_cmi, ref_residual
 from cmikit import (
     Cmi,
@@ -130,44 +130,6 @@ def test_random_weakenings_are_implied(k, seed):
 
 
 # --- masks against the frozenset reference, up to n = 64 ---------------------
-
-
-@st.composite
-def wide_pairs(draw):
-    """Two ``samplers.random_cmi`` statements over one n in 1..64.
-
-    The first may gain an empty block, a repeat of a block and the top index
-    n; the second is independent, a reordered copy of the first, a weakening
-    of it, or a weakening changed so that the implication often fails late in
-    the clause order: one more conditioning index, its largest block split in
-    two, or one more index in its last block.
-    """
-    n = draw(st.integers(1, 64))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    k = random_cmi(rng, n)
-    blocks = list(k.blocks)
-    if draw(st.booleans()):
-        blocks.append(frozenset())
-    if blocks and draw(st.booleans()):
-        blocks.append(blocks[draw(st.integers(0, len(blocks) - 1))])
-    if blocks and draw(st.booleans()):
-        blocks[0] |= {n}
-    k = Cmi(n, k.cond, tuple(blocks))
-    kind = draw(st.sampled_from(["independent", "copy", "weakening", "cond", "split", "grow"]))
-    if kind == "independent":
-        return k, random_cmi(rng, n)
-    if kind == "copy":
-        return k, Cmi(n, set(k.cond), tuple(reversed(k.blocks)))
-    w = random_weakening(rng, pure_form(k))
-    blocks = sorted(w.blocks, key=len)
-    if kind == "cond":
-        w = Cmi(n, w.cond | {rng.randint(1, n)}, w.blocks)
-    elif kind == "split" and blocks and len(blocks[-1]) >= 2:
-        big = blocks.pop()
-        w = Cmi(n, w.cond, (*blocks, frozenset({min(big)}), big - {min(big)}))
-    elif kind == "grow" and blocks:
-        w = Cmi(n, w.cond, (*blocks[:-1], blocks[-1] | {rng.randint(1, n)}))
-    return k, w
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,12 +1,17 @@
 """Counterexample construction: template contents, planner cases, determinism."""
 
+import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from samplers import random_cmi
+import cmikit.witnesses
+from oracle_reference import separating_member
+from samplers import random_cmi, wide_pairs
 from cmikit import (
     Cmi,
     implies,
@@ -15,6 +20,9 @@ from cmikit import (
     witness_non_equivalence,
     witness_non_implication,
 )
+from cmikit.cli import main
+from cmikit.distributions import MARGINAL_CACHE_SIZE
+from cmikit.statements import _sub_cmi_clause
 
 
 def separated(k, k2):
@@ -41,14 +49,22 @@ def test_template_distribution_contents():
 
 
 def test_template_distribution_validates_arguments():
-    with pytest.raises(ValueError, match="unknown template"):
-        template_distribution(2, "PARITY", (1,))
-    with pytest.raises(ValueError, match="takes 2 pivots"):
-        template_distribution(3, "COPY2", (1, 2, 3))
-    with pytest.raises(ValueError, match="distinct"):
-        template_distribution(3, "COPY2", (1, 1))
-    with pytest.raises(ValueError, match="ground set"):
-        template_distribution(2, "COPY2", (1, 3))
+    for _ in range(2):  # the memo caches no exception: every call raises
+        with pytest.raises(ValueError, match="unknown template"):
+            template_distribution(2, "PARITY", (1,))
+        with pytest.raises(ValueError, match="takes 2 pivots"):
+            template_distribution(3, "COPY2", (1, 2, 3))
+        with pytest.raises(ValueError, match="distinct"):
+            template_distribution(3, "COPY2", (1, 1))
+        with pytest.raises(ValueError, match="ground set"):
+            template_distribution(2, "COPY2", (1, 3))
+
+
+def test_template_distribution_is_memoised():
+    d = template_distribution(5, "XOR", (1, 3, 5))
+    hits = template_distribution.cache_info().hits
+    assert template_distribution(5, "XOR", (1, 3, 5)) is d
+    assert template_distribution.cache_info().hits == hits + 1
 
 
 def test_degenerate_premise_against_functional_dependence():
@@ -151,3 +167,124 @@ def test_every_failed_implication_gets_a_verified_witness(seed, n):
     k, k2 = random_cmi(rng, n), random_cmi(rng, n)
     assume(not implies(k, k2))
     separated(k, k2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_implication_agrees_with_the_independent_template_sweep(seed, n):
+    # The sweep shares no code with the clause function or with is_valid.
+    rng = random.Random(seed)
+    k, k2 = random_cmi(rng, n), random_cmi(rng, n)
+    member = separating_member(k, k2)
+    assert implies(k, k2) == (member is None)
+    if member is not None:
+        separated(k, k2)
+
+
+def test_a_planned_witness_that_fails_verification_is_an_internal_error(monkeypatch, capsys):
+    # The clause function, as the witness functions see it, plans the parity
+    # template at pivots where both statements hold; nothing searches around it.
+    k, k2 = Cmi(4, set(), ({1}, {2})), Cmi(4, {3}, ({1}, {2}))
+    assert _sub_cmi_clause(k, k2)[1:] == ("XOR", (1, 2, 3))
+    monkeypatch.setattr(
+        cmikit.witnesses, "_sub_cmi_clause", lambda a, b: (*_sub_cmi_clause(a, b)[:2], (2, 3, 4))
+    )
+    with pytest.raises(RuntimeError, match="no witness verified"):
+        witness_non_implication(k, k2)
+    with pytest.raises(RuntimeError, match="no witness verified"):
+        witness_non_equivalence(k, k2)
+    assert main(["implies", "I(1 ; 2)", "I(1 ; 2 | 3)", "--n", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: internal consistency failure: implication test "
+                          "says no, but no witness verified\n")
+
+
+def test_non_equivalence_runs_the_clause_function_at_most_once_per_direction(monkeypatch):
+    calls = []
+
+    def clause(a, b):
+        calls.append((a, b))
+        return _sub_cmi_clause(a, b)
+
+    monkeypatch.setattr(cmikit.witnesses, "_sub_cmi_clause", clause)
+    forward = Cmi(3, set(), ({1}, {2})), Cmi(3, {3}, ({1}, {2}))
+    reverse = Cmi(3, set(), ({1}, {2}, {3})), Cmi(3, set(), ({1, 2}, {3}))
+    same = Cmi(3, set(), ({1}, {2})), Cmi(3, set(), ({2}, {1}))
+    for (k, k2), expected in ((forward, [forward]), (reverse, [reverse, reverse[::-1]])):
+        calls.clear()
+        witness_non_equivalence(k, k2)
+        assert calls == expected
+    calls.clear()
+    with pytest.raises(ValueError, match="equivalent"):
+        witness_non_equivalence(*same)
+    assert calls == [same, same[::-1]]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(wide_pairs(), min_size=60, max_size=60))
+def test_witness_caches_stay_bounded_up_to_n64(pairs):
+    # ``held`` mirrors the template cache's recency order for the keys this
+    # test uses, so its last ``maxsize`` entries are all in the cache.
+    held = {}
+    for k, k2 in pairs:
+        if implies(k, k2):
+            continue
+        w = separated(k, k2)
+        key = (k.n, w.template, w.pivot_indices)
+        held.pop(key, None)
+        held[key] = w.distribution
+        assert len(w.distribution._counts) <= MARGINAL_CACHE_SIZE
+        info = template_distribution.cache_info()
+        assert info.currsize <= info.maxsize
+        cached = list(held.values())[-info.maxsize :]
+        assert sum(len(d._counts) for d in cached) <= info.maxsize * MARGINAL_CACHE_SIZE
+
+
+def test_long_lived_template_keeps_a_bounded_marginal_cache():
+    # Far more distinct marginals than one distribution may keep, all read
+    # from one memoised template over 64 variables.
+    d = template_distribution(64, "XOR", (1, 32, 64))
+    rng = random.Random(64)
+    sizes = []
+    for _ in range(300):
+        k = random_cmi(rng, 64)
+        fresh = template_distribution.__wrapped__(64, "XOR", (1, 32, 64))
+        assert is_valid(d, k) == is_valid(fresh, k)
+        sizes.append(len(d._counts))
+    assert max(sizes) <= MARGINAL_CACHE_SIZE
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it dropped back at least once
+    # More distinct keys than the template cache holds: it stays at its size.
+    for pivots in itertools.islice(itertools.permutations(range(1, 65), 2), 300):
+        template_distribution(64, "COPY2", pivots)
+    info = template_distribution.cache_info()
+    assert info.currsize == info.maxsize
+
+
+def test_threads_share_one_memoised_template_safely():
+    # Every thread reads marginals of the same cached distribution over 64
+    # variables, so most reads add a table while others search the cache.
+    d = template_distribution(64, "COPY3", (2, 33, 63))
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(400):
+                k = random_cmi(rng, 64)
+                fresh = template_distribution.__wrapped__(64, "COPY3", (2, 33, 63))
+                assert is_valid(d, k) == is_valid(fresh, k)
+        except Exception as exc:  # reported below, with the thread's seed
+            errors.append((seed, repr(exc)))
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
