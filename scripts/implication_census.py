@@ -32,8 +32,12 @@ class Config:
 
 def parse_args(argv: list[str] | None) -> Config:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=3, help="ground-set size (0..5)")
-    parser.add_argument("--max-blocks", type=int, default=3, help="part bound (0..4)")
+    parser.add_argument(
+        "--n", type=int, default=3, choices=range(6), metavar="N", help="ground-set size (0..5)"
+    )
+    parser.add_argument(
+        "--max-blocks", type=int, default=3, choices=range(5), metavar="B", help="part bound (0..4)"
+    )
     parser.add_argument(
         "--show-edges",
         action="store_true",

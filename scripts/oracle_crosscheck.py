@@ -36,8 +36,12 @@ def parse_args(argv: list[str] | None) -> Config:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-n", type=int, default=4, help="largest ground set (<= 8)")
-    parser.add_argument("--max-alphabet", type=int, default=3, help="largest alphabet (<= 4)")
+    parser.add_argument(
+        "--max-n", type=int, default=4, choices=range(1, 9), metavar="N", help="largest ground set (1..8)"
+    )
+    parser.add_argument(
+        "--max-alphabet", type=int, default=3, choices=range(1, 5), metavar="A", help="largest alphabet (1..4)"
+    )
     args = parser.parse_args(argv)
     return Config(args.trials, args.seed, args.max_n, args.max_alphabet)
 

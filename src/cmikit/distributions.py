@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -263,67 +262,37 @@ def j_value(p: JointDistribution, k: Cmi) -> float:
 def is_valid(p: JointDistribution, k: Cmi) -> bool:
     """Exact decision: does ``p`` satisfy the statement ``k``?
 
-    Works on the canonical form, with integer counts ``c`` over the common
-    denominator.  The repeated indices must be a function of the conditioning
-    variables (constant within every conditioning class of the support), and
-    the parts must factorize exactly: for every conditioning assignment ``y``
-    and every combination ``z`` of part assignments drawn from the per-part
-    conditional supports,
+    Works on the canonical form ``(C, R, <P_1..P_t>)`` through its block
+    shape ``(C, <R, R, P_1, ..., P_t>)`` (R written twice, and left out when
+    empty), with integer counts ``c`` over the common denominator.  With ``b``
+    blocks, the statement holds exactly when every support point ``(z, y)``
+    of the blocks' union, ``y`` its condition assignment, satisfies
 
-        c(z, y) * c(y)^(t-1) == prod_j c(z_j, y).
+        c(z, y) * c(y)^(b-1) == prod_B c(z_B, y).
 
-    Combinations outside that product are automatically consistent (both
-    sides are zero).  The joint support given ``y`` lies inside the product,
-    so it must fill it: ``|supp(parts | y)| == prod_j |supp(part_j | y)|``.
-    Once that holds, one walk over the joint support covers every combination.
-    With a single conditioning class (an empty condition, or one constant on
-    the support, as on most witness templates) the conditional supports are
-    the part marginals themselves and ``c(y)`` is the denominator, so neither
-    the size check nor the scale needs a per-class table.
+    One walk over the joint support suffices.  Summed over the support of
+    class ``y``, the left side is ``c(y)^b``; the right side is at most the
+    sum over every combination of block values, which is ``c(y)^b``.  The two
+    are equal only when the support fills the product of the block supports,
+    so every combination outside the support has both sides zero; for the
+    doubled R that means R takes one value per class.
     """
     require_matching_arity(p, k)
     c = canonicalize(k)
     if c.degenerate:
         return True
-    cond = c._cond
-    if c._rep:
-        both = cond | c._rep
-        cond_of, rep_of = _projector(both, cond), _projector(both, c._rep)
-        seen: dict[Assignment, Assignment] = {}
-        for outcome in p._marginal_counts(both):
-            r = rep_of(outcome)
-            if seen.setdefault(cond_of(outcome), r) != r:
-                return False
-    if not c._parts:
-        return True
-    t = len(c._parts)
-    joint_mask = cond | sum(c._parts)  # the parts are disjoint
-    joint = p._marginal_counts(joint_mask)
-    part_counts = [p._marginal_counts(cond | part) for part in c._parts]
-    cond_counts = p._marginal_counts(cond)
-    one_class = len(cond_counts) == 1
-    if one_class:
-        if len(joint) != math.prod(map(len, part_counts)):
-            return False
-        scale = p._denominator ** (t - 1)
-    else:
-        cond_of = _projector(joint_mask, cond)
-        part_supports = [
-            Counter(map(_projector(cond | part, cond), counts))
-            for part, counts in zip(c._parts, part_counts)
-        ]
-        for y, size in Counter(map(cond_of, joint)).items():
-            if size != math.prod(support[y] for support in part_supports):
-                return False
-        scale = {y: cy ** (t - 1) for y, cy in cond_counts.items()}
+    blocks = [c._rep, c._rep, *c._parts] if c._rep else c._parts
+    joint_mask = c._cond | c._rep | sum(c._parts)  # the parts are disjoint
+    cond_of = _projector(joint_mask, c._cond)
+    scale = {y: cy ** (len(blocks) - 1) for y, cy in p._marginal_counts(c._cond).items()}
     lookups = [
-        (_projector(joint_mask, cond | part), counts) for part, counts in zip(c._parts, part_counts)
+        (_projector(joint_mask, c._cond | b), p._marginal_counts(c._cond | b)) for b in blocks
     ]
-    for outcome, czy in joint.items():
+    for outcome, czy in p._marginal_counts(joint_mask).items():
         rhs = 1
-        for part_of, counts in lookups:
-            rhs *= counts[part_of(outcome)]
-        if czy * (scale if one_class else scale[cond_of(outcome)]) != rhs:
+        for block_of, counts in lookups:
+            rhs *= counts[block_of(outcome)]
+        if czy * scale[cond_of(outcome)] != rhs:
             return False
     return True
 

@@ -39,7 +39,8 @@ def template_distribution(n: int, template: str, pivots: tuple[int, ...]) -> Joi
     ``SINGLE``: one uniform bit.  ``COPY2``/``COPY3``: two or three perfect
     copies of one uniform bit.  ``XOR``: two independent uniform bits and
     their parity.  All non-pivot variables are constant 0.  Repeated calls
-    with the same arguments return the same (read-only) object.
+    with the same arguments return the same (read-only) object, so the
+    pivots must be a hashable tuple: a list raises ``TypeError``.
     """
     if template not in _ARITY:
         raise ValueError(f"unknown template {template!r}")

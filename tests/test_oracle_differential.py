@@ -11,10 +11,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-import cmikit.distributions
 from oracle_reference import brute_valid
 from samplers import random_cmi, random_joint
 from cmikit import (
@@ -158,25 +156,6 @@ def test_is_valid_matches_brute_force_under_an_empty_or_constant_condition(case)
     p, k = case
     assert one_class(p, k)
     assert_agree(p, k)
-
-
-def test_one_class_support_precheck_rejects_before_the_identity_walk(monkeypatch):
-    # X1 = X2, a uniform bit: the joint support {00, 11} does not fill the
-    # product of the part supports, so the size precheck alone says no.  The
-    # identity walk would say no too, so only its absence shows the precheck.
-    k = Cmi(2, set(), ({1}, {2}))
-    copy2 = template_distribution(2, "COPY2", (1, 2))
-    single = template_distribution(2, "SINGLE", (1,))
-    # Cache every marginal the checks read; after this, only the walk builds projectors.
-    assert (is_valid(copy2, k), is_valid(single, k)) == (False, True)
-
-    def projector(src, dst):
-        raise AssertionError("the identity walk ran")
-
-    monkeypatch.setattr(cmikit.distributions, "_projector", projector)
-    assert not is_valid(copy2, k)
-    with pytest.raises(AssertionError, match="identity walk"):
-        is_valid(single, k)
 
 
 def test_hand_built_mixed_denominators_and_zero_rows():

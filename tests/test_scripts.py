@@ -1,0 +1,58 @@
+"""The experiment scripts under ``scripts/``, run in-process through their ``main``."""
+
+import importlib.util
+import sys
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@cache
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses resolves the scripts' annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_census_verifies_every_planned_witness_at_n3(capsys):
+    # Every failing pair builds its planned witness and checks it with is_valid.
+    assert load("implication_census").main(["--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "canonical classes over n=3, max_blocks=3: 33\n" in out
+    assert "ordered pairs: 1056, implication edges: 240\n" in out
+    assert (
+        "witness templates for the failures:\n"
+        "  SINGLE 500\n"
+        "  COPY2  298\n"
+        "  COPY3  15\n"
+        "  XOR    3\n"
+    ) in out
+
+
+def test_oracle_crosscheck_finds_no_mismatch(capsys):
+    assert load("oracle_crosscheck").main(["--trials", "300"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "300 trials: 0 oracle mismatches, 0 bridge mismatches\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        ("implication_census", ["--n", "6"], "argument --n: invalid choice: 6 (choose from 0, 1"),
+        ("implication_census", ["--max-blocks", "7"], "argument --max-blocks: invalid choice: 7"),
+        ("oracle_crosscheck", ["--max-alphabet", "5"], "choose from 1, 2, 3, 4)"),
+        ("oracle_crosscheck", ["--max-n", "0"], "argument --max-n: invalid choice: 0"),
+        ("oracle_crosscheck", ["--max-n", "9"], "choose from 1, 2, 3, 4, 5, 6, 7, 8)"),
+    ],
+)
+def test_out_of_range_flags_exit_2(capsys, script, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        load(script).main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
