@@ -1,6 +1,7 @@
 """Statement and distribution text formats: goldens, positions, round-trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,9 @@ from cmikit import (
     render_cmi,
     render_distribution,
 )
+
+CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
+SPACES = "".join(c for c in CODE_POINTS if c.isspace())
 
 
 def test_parse_cmi_basic_shapes():
@@ -47,6 +51,11 @@ def test_parse_cmi_error_positions():
         ("I(1", 5, 1, 4, "expected ')'"),
         ("I(1,)", 5, 1, 5, "expected a variable index"),
         ("I({)", 5, 1, 4, "expected '}'"),
+        ("I 12", 5, 1, 3, "expected '(', found '1'"),
+        ("I(12 x)", 20, 1, 6, "expected ')', found 'x'"),
+        ("I(1 ", 5, 1, 5, "expected ')', found end of input"),
+        ("I(1 ;\n  2 ; \u0663,\n   x)", 5, 3, 4, "expected a variable index, found 'x'"),
+        ("I(1\u3000;\u001c2 x)", 3, 1, 9, "expected ')', found 'x'"),
     ]
     for text, n, line, column, fragment in cases:
         with pytest.raises(ParseError) as exc:
@@ -54,6 +63,9 @@ def test_parse_cmi_error_positions():
         assert (exc.value.line, exc.value.column) == (line, column), text
         assert fragment in str(exc.value)
         assert f"line {line}, column {column}:" in str(exc.value)
+    # U+3000 (ideographic space) and U+001C (file separator) are whitespace.
+    assert parse_cmi("I(1\u3000;\u001c2)", 3) == Cmi(3, set(), ({1}, {2}))
+    assert parse_cmi("I(1 ; 2\u3000|\u001c3)", 3) == Cmi(3, {3}, ({1}, {2}))
 
 
 def test_parse_cmi_validates_ground_set_size():
@@ -77,10 +89,27 @@ def test_render_cmi_orders_blocks_by_size_then_members():
     assert render_cmi(k) == "I(1 ; 2 ; 2,3 ; 4,5)"
 
 
+def respell(text, rng):
+    """``text`` with random whitespace of any kind between its tokens and some
+    ASCII digits swapped for their Arabic-Indic forms (U+0660..U+0669)."""
+    out = ["".join(rng.choices(SPACES, k=rng.randint(0, 2)))]
+    for ch, nxt in zip(text, text[1:] + ")"):
+        if ch == " ":
+            out.append("".join(rng.choices(SPACES, k=rng.randint(0, 3))))
+            continue
+        out.append(chr(0x660 + int(ch)) if ch.isdigit() and rng.random() < 0.3 else ch)
+        if not (ch.isdigit() and nxt.isdigit()):  # a split digit run is two indices
+            out.append("".join(rng.choices(SPACES, k=rng.randint(0, 2))))
+    return "".join(out)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_parse_render_round_trip_statements(seed, n):
-    k = random_cmi(random.Random(seed), n)
-    assert parse_cmi(render_cmi(k), n) == k
+    rng = random.Random(seed)
+    k = random_cmi(rng, n)
+    text = render_cmi(k)
+    assert parse_cmi(text, n) == k
+    assert parse_cmi(respell(text, rng), n) == k
 
 
 def test_parse_distribution_with_comments_and_blanks():
@@ -98,31 +127,45 @@ def test_parse_distribution_with_comments_and_blanks():
 def test_parse_distribution_accepts_explicit_zero_rows():
     p = parse_distribution("vars: A:2\n0 : 1/1\n1 : 0/4\n")
     assert p.pmf == {(0,): Fraction(1)}
+    assert parse_distribution("vars: A:2\n0:1/1\n") == p
 
 
 def test_parse_distribution_error_lines():
     cases = [
-        ("0 0 : 1/2\n", 1, "expected 'vars:'"),
-        ("vars:\n", 1, "at least one variable"),
-        ("vars: A:x\n", 1, "bad variable declaration"),
-        ("vars: A:0\n", 1, "alphabet size"),
-        ("vars: A:2 B:2\n0 : 1/2\n", 2, "expected 2 symbols"),
-        ("vars: A:2\n2 : 1/1\n", 2, "outside its alphabet"),
-        ("vars: A:2\n0 : 0.5\n", 2, "malformed probability"),
-        ("vars: A:2\n0 : 1/0\n", 2, "denominator is zero"),
-        ("vars: A:2\n0 : 1/2 extra\n", 2, "after probability"),
-        ("vars: A:2\nx : 1/1\n", 2, "bad symbol"),
-        ("vars: A:2\n0 1 : 1/1\n", 2, "expected 1 symbols"),
-        ("vars: A:2\n0 1/1\n", 2, "expected 'SYMBOLS : PROBABILITY'"),
-        ("vars: A:2\n0 : 1/2\n0 : 1/2\n", 3, "duplicate row"),
-        ("vars: A:2\n0 : 1/3\n1 : 1/3\n", 1, "sum to 2/3"),
-        ("", 1, "missing 'vars:'"),
+        ("0 0 : 1/2\n", 1, 1, "expected 'vars:'"),
+        ("vars:\n", 1, 1, "at least one variable"),
+        ("vars: A:x\n", 1, 7, "bad variable declaration"),
+        ("vars: A:0\n", 1, 7, "alphabet size"),
+        ("vars: A:2 B:2\n0 : 1/2\n", 2, 1, "expected 2 symbols"),
+        ("vars: A:2\n2 : 1/1\n", 2, 1, "outside its alphabet"),
+        ("vars: A:2\n0 : 0.5\n", 2, 5, "malformed probability"),
+        ("vars: A:2\n0 : 1/0\n", 2, 5, "denominator is zero"),
+        ("vars: A:2\n0 : 1/2 extra\n", 2, 9, "after probability"),
+        ("vars: A:2\nx : 1/1\n", 2, 1, "bad symbol"),
+        ("vars: A:2\n0 1 : 1/1\n", 2, 1, "expected 1 symbols"),
+        ("vars: A:2\n0 1/1\n", 2, 1, "expected 'SYMBOLS : PROBABILITY'"),
+        ("vars: A:2\n0 : 1/2\n0 : 1/2\n", 3, 1, "duplicate row"),
+        ("vars: A:2\n0 : 1/3\n1 : 1/3\n", 1, 1, "sum to 2/3"),
+        ("", 1, 1, "missing 'vars:'"),
+        # The last colon splits a row, so an earlier one belongs to a symbol.
+        ("vars: A:2\n0:1 : 1/1\n", 2, 1, "bad symbol '0:1'"),
+        ("vars: A:2\n0:1/1\n0:1/1\n", 3, 1, "duplicate row for outcome 0"),
+        ("vars: A:2\n0 :\n", 2, 4, "missing probability after ':'"),
+        ("vars: A:2\n0 : 1/2/3\n", 2, 5, "malformed probability '1/2/3'"),
+        ("vars: A:2\n0 : /2\n", 2, 5, "malformed probability '/2'"),
+        ("vars: A:2\n0 : 0/0\n", 2, 5, "denominator is zero"),
+        ("vars: A:2\n0 : 1/1 x", 2, 9, "after probability"),
+        ("\tvars: A:x\n", 1, 8, "bad variable declaration 'A:x'"),
+        ("vars: A:2\n  0 1/1\n", 2, 3, "expected 'SYMBOLS : PROBABILITY'"),
+        ("vars: A:2 B:2\n\t0 0 : 1/2\n\t1 x : 1/2\n", 3, 4, "bad symbol 'x'"),
+        ("vars: A:2 B:2\n0\u30000 : 1/2\n1\u3000x : 1/2\n", 3, 3, "bad symbol 'x'"),
     ]
-    for text, line, fragment in cases:
+    for text, line, column, fragment in cases:
         with pytest.raises(ParseError) as exc:
             parse_distribution(text)
-        assert exc.value.line == line, text
+        assert (exc.value.line, exc.value.column) == (line, column), text
         assert fragment in str(exc.value), text
+        assert f"line {line}, column {column}:" in str(exc.value), text
 
 
 def test_non_decimal_digits_are_parse_errors():
