@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from cmikit import TOLERANCE, is_valid, j_value, random_distribution
+from cmikit.cli import _positive_int
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracle_reference import brute_valid  # noqa: E402
@@ -34,7 +35,7 @@ class Config:
 
 def parse_args(argv: list[str] | None) -> Config:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=2000)
+    parser.add_argument("--trials", type=_positive_int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--max-n", type=int, default=4, choices=range(1, 9), metavar="N", help="largest ground set (1..8)"

@@ -1,12 +1,16 @@
 """Text formats for CMI statements and for exact joint distributions.
 
 Statements use the surface syntax ``I(1,2 ; 3 | 4)``: semicolon-separated
-index blocks, an optional ``|``-prefixed conditioning list, ``{}`` for an
-explicitly empty block, whitespace free.  Distributions use a line format
-with a ``vars:`` header declaring alphabet sizes followed by one
+index blocks, an optional ``|``-prefixed conditioning list and ``{}`` for an
+explicitly empty block.  Its tokens are runs of decimal digits
+(``str.isdecimal``, so ``٣`` is 3) and single other characters; whitespace
+(``str.isspace``) separates tokens and is otherwise ignored.  Distributions use
+a line format with a ``vars:`` header declaring alphabet sizes followed by one
 ``symbols : probability`` row per support point; ``#`` starts a comment.
-Rendering is canonical (sorted, lowest terms), so rendered text is stable
-and re-parses to an equal object.
+Rendering is canonical (sorted, lowest terms), so rendered text is stable.  A
+rendered statement re-parses to an equal object, and so does a rendered
+distribution over n >= 1 variables (over none, the ``vars:`` header is empty,
+which the parser rejects).
 """
 
 from __future__ import annotations
@@ -27,71 +31,60 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-class _Cursor:
-    """Character cursor with 1-based line/column error reporting."""
+_TOKEN = re.compile(r"\d+|\S")
+
+
+class _Tokens:
+    """A statement's tokens, ``""`` last for end of input, with 1-based line/column errors."""
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text) + [""]
+        self.i = 0
 
-    def error(self, message: str, pos: int | None = None) -> "ParseError":
-        at = self.pos if pos is None else pos
-        prefix = self.text[:at]
-        line = prefix.count("\n") + 1
-        column = at - (prefix.rfind("\n") + 1) + 1
-        return ParseError(line, column, message)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def error(self, message: str) -> ParseError:
+        # Positions are only needed here, so they are found again on error.
+        at = ([m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)])[self.i]
+        return ParseError(self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at), message)
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.tokens[self.i]
 
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
+    def accept(self, what: str) -> bool:
+        hit = self.tokens[self.i] == what
+        self.i += hit
+        return hit
 
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
-            found = repr(self.peek()) if self.peek() else "end of input"
-            raise self.error(f"expected {ch!r}, found {found}")
-        self.pos += 1
+    def expect(self, what: str) -> None:
+        if not self.accept(what):
+            raise self.error(f"expected {what!r}, found {self.found()}")
 
-
-def _parse_index(cur: _Cursor, n: int) -> int:
-    cur.skip_ws()
-    start = cur.pos
-    while cur.peek().isdecimal():
-        cur.pos += 1
-    if cur.pos == start:
-        found = repr(cur.peek()) if cur.peek() else "end of input"
-        raise cur.error(f"expected a variable index, found {found}")
-    value = int(cur.text[start : cur.pos])
-    if not 1 <= value <= n:
-        raise cur.error(f"index {value} outside the ground set 1..{n}", pos=start)
-    return value
+    def found(self) -> str:
+        token = self.tokens[self.i]
+        return repr(token[0]) if token else "end of input"
 
 
-def _parse_index_list(cur: _Cursor, n: int) -> list[int]:
-    indices = [_parse_index(cur, n)]
-    cur.skip_ws()
-    while cur.peek() == ",":
-        cur.take()
-        indices.append(_parse_index(cur, n))
-        cur.skip_ws()
-    return indices
+def _parse_indices(tok: _Tokens, n: int) -> IndexSet:
+    """``INDEX , ... , INDEX``, each checked against the ground set at its token."""
+    indices = []
+    while True:
+        token = tok.peek()
+        if not token.isdecimal():
+            raise tok.error(f"expected a variable index, found {tok.found()}")
+        value = int(token)
+        if not 1 <= value <= n:
+            raise tok.error(f"index {value} outside the ground set 1..{n}")
+        indices.append(value)
+        tok.i += 1
+        if not tok.accept(","):
+            return frozenset(indices)
 
 
-def _parse_block(cur: _Cursor, n: int) -> IndexSet:
-    cur.skip_ws()
-    if cur.peek() == "{":
-        cur.take()
-        cur.expect("}")
-        return frozenset()
-    return frozenset(_parse_index_list(cur, n))
+def _parse_block(tok: _Tokens, n: int) -> IndexSet:
+    if not tok.accept("{"):
+        return _parse_indices(tok, n)
+    tok.expect("}")
+    return frozenset()
 
 
 def parse_cmi(text: str, n: int) -> Cmi:
@@ -103,26 +96,20 @@ def parse_cmi(text: str, n: int) -> Cmi:
     """
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}, got {n}")
-    cur = _Cursor(text)
-    cur.expect("I")
-    cur.expect("(")
-    cur.skip_ws()
+    tok = _Tokens(text)
+    tok.expect("I")
+    tok.expect("(")
     blocks: list[IndexSet] = []
     cond: IndexSet = frozenset()
-    if cur.peek() not in ("|", ")"):
-        blocks.append(_parse_block(cur, n))
-        cur.skip_ws()
-        while cur.peek() == ";":
-            cur.take()
-            blocks.append(_parse_block(cur, n))
-            cur.skip_ws()
-    if cur.peek() == "|":
-        cur.take()
-        cond = frozenset(_parse_index_list(cur, n))
-    cur.expect(")")
-    cur.skip_ws()
-    if cur.pos != len(cur.text):
-        raise cur.error("unexpected text after statement")
+    if tok.peek() not in ("|", ")"):
+        blocks.append(_parse_block(tok, n))
+        while tok.accept(";"):
+            blocks.append(_parse_block(tok, n))
+    if tok.accept("|"):
+        cond = _parse_indices(tok, n)
+    tok.expect(")")
+    if tok.peek():
+        raise tok.error("unexpected text after statement")
     return Cmi(n, cond, tuple(blocks))
 
 
@@ -141,7 +128,7 @@ def render_cmi(k: Cmi) -> str:
     return f"I({inner})"
 
 
-_RATIONAL = re.compile(r"(\d+)/(\d+)\Z")
+_WORD = re.compile(r"\S+")
 
 
 def parse_distribution(text: str) -> JointDistribution:
@@ -156,20 +143,17 @@ def parse_distribution(text: str) -> JointDistribution:
     rows: dict[tuple[int, ...], tuple[int, int]] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        body = line.lstrip()
+        if not body:
             continue
-        indent = len(line) - len(line.lstrip())
+        indent = len(line) - len(body)
         if sizes is None:
-            if not line.strip().startswith("vars:"):
+            if not body.startswith("vars:"):
                 raise ParseError(lineno, indent + 1, "expected 'vars:' header line")
-            specs = list(re.finditer(r"\S+", line.split("vars:", 1)[1]))
-            if not specs:
-                raise ParseError(lineno, indent + 1, "expected at least one variable declaration")
-            offset = line.index("vars:") + len("vars:")
             sizes = []
-            for m in specs:
+            for m in _WORD.finditer(line, indent + len("vars:")):
                 name, sep, size_text = m.group().rpartition(":")
-                col = offset + m.start() + 1
+                col = m.start() + 1
                 if not sep or not name or not size_text.isdecimal():
                     raise ParseError(
                         lineno, col, f"bad variable declaration {m.group()!r}; expected NAME:SIZE"
@@ -178,49 +162,45 @@ def parse_distribution(text: str) -> JointDistribution:
                 if size < 1:
                     raise ParseError(lineno, col, f"alphabet size must be >= 1, got {size}")
                 sizes.append(size)
+            if not sizes:
+                raise ParseError(lineno, indent + 1, "expected at least one variable declaration")
             continue
         colon = line.rfind(":")
         if colon == -1:
             raise ParseError(lineno, indent + 1, "expected 'SYMBOLS : PROBABILITY' row")
-        sym_tokens = list(re.finditer(r"\S+", line[:colon]))
+        sym_tokens = list(_WORD.finditer(line, 0, colon))
         if len(sym_tokens) != len(sizes):
             raise ParseError(
                 lineno, indent + 1, f"expected {len(sizes)} symbols, got {len(sym_tokens)}"
             )
         outcome: list[int] = []
-        for i, m in enumerate(sym_tokens):
-            col = m.start() + 1
-            if not m.group().isdecimal():
-                raise ParseError(lineno, col, f"bad symbol {m.group()!r}; expected an integer")
-            s = int(m.group())
-            if not 0 <= s < sizes[i]:
+        for i, (m, size) in enumerate(zip(sym_tokens, sizes), start=1):
+            col, word = m.start() + 1, m.group()
+            if not word.isdecimal():
+                raise ParseError(lineno, col, f"bad symbol {word!r}; expected an integer")
+            s = int(word)
+            if s >= size:
                 raise ParseError(
-                    lineno, col, f"symbol {s} of variable {i + 1} outside its alphabet 0..{sizes[i] - 1}"
+                    lineno, col, f"symbol {s} of variable {i} outside its alphabet 0..{size - 1}"
                 )
             outcome.append(s)
-        rat = re.search(r"\S+", line[colon + 1 :])
+        rat = _WORD.search(line, colon + 1)
         if rat is None:
             raise ParseError(lineno, colon + 2, "missing probability after ':'")
-        rat_col = colon + 1 + rat.start() + 1
-        extra = re.search(r"\S", line[colon + 1 + rat.end() :])
+        extra = _WORD.search(line, rat.end())
         if extra is not None:
+            raise ParseError(lineno, extra.start() + 1, "unexpected text after probability")
+        num, slash, den = rat.group().partition("/")
+        if not (slash and num.isdecimal() and den.isdecimal()):
             raise ParseError(
-                lineno, colon + 1 + rat.end() + extra.start() + 1, "unexpected text after probability"
+                lineno, rat.start() + 1, f"malformed probability {rat.group()!r}; expected NUM/DEN"
             )
-        m2 = _RATIONAL.match(rat.group())
-        if m2 is None:
-            raise ParseError(
-                lineno, rat_col, f"malformed probability {rat.group()!r}; expected NUM/DEN"
-            )
-        num, den = int(m2.group(1)), int(m2.group(2))
-        if den == 0:
-            raise ParseError(lineno, rat_col, "probability denominator is zero")
+        if int(den) == 0:
+            raise ParseError(lineno, rat.start() + 1, "probability denominator is zero")
         key = tuple(outcome)
         if key in rows:
-            raise ParseError(
-                lineno, sym_tokens[0].start() + 1, f"duplicate row for outcome {' '.join(map(str, key))}"
-            )
-        rows[key] = (num, den)
+            raise ParseError(lineno, indent + 1, f"duplicate row for outcome {' '.join(map(str, key))}")
+        rows[key] = (int(num), int(den))
     if sizes is None:
         raise ParseError(1, 1, "missing 'vars:' header line")
     weights, denominator = _common_denominator((key, num, den) for key, (num, den) in rows.items())

@@ -49,6 +49,8 @@ def test_oracle_crosscheck_finds_no_mismatch(capsys):
         ("oracle_crosscheck", ["--max-alphabet", "5"], "choose from 1, 2, 3, 4)"),
         ("oracle_crosscheck", ["--max-n", "0"], "argument --max-n: invalid choice: 0"),
         ("oracle_crosscheck", ["--max-n", "9"], "choose from 1, 2, 3, 4, 5, 6, 7, 8)"),
+        ("oracle_crosscheck", ["--trials", "0"], "argument --trials: must be at least 1, got 0"),
+        ("oracle_crosscheck", ["--trials", "-5"], "argument --trials: must be at least 1, got -5"),
     ],
 )
 def test_out_of_range_flags_exit_2(capsys, script, argv, message):

@@ -18,6 +18,7 @@ from cmikit import (
     render_cmi,
     render_distribution,
 )
+from cmikit.textio import _TOKEN
 
 CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
 SPACES = "".join(c for c in CODE_POINTS if c.isspace())
@@ -73,6 +74,28 @@ def test_parse_cmi_validates_ground_set_size():
         parse_cmi("I()", 0)
     with pytest.raises(ValueError, match="1..64"):
         parse_cmi("I()", 65)
+
+
+def test_whitespace_splits_and_decimal_digits_join_tokens():
+    # Each code point c is tried between two digits, as "x1c1": exactly the
+    # str.isspace characters split the run, exactly the str.isdecimal ones
+    # join it, and every other character is a token of its own.
+    for lo in range(0, len(CODE_POINTS), 1 << 16):
+        chunk = CODE_POINTS[lo : lo + (1 << 16)]
+        expected = []
+        for c in chunk:
+            if c.isspace():
+                expected += ["x", "1", "1"]
+            elif c.isdecimal():
+                expected += ["x", f"1{c}1"]
+            else:
+                expected += ["x", "1", c, "1"]
+        assert _TOKEN.findall("".join(f"x1{c}1" for c in chunk)) == expected, hex(lo)
+    ws = SPACES
+    text = f"{ws}I{ws}({ws}1{ws};{ws}2{ws}|{ws}3{ws}){ws}"
+    assert parse_cmi(text, 3) == Cmi(3, {3}, ({1}, {2}))
+    for d in (c for c in CODE_POINTS if c.isdecimal()):
+        assert parse_cmi(f"I(1{d})", 19) == Cmi(19, set(), ({10 + int(d)},)), hex(ord(d))
 
 
 def test_render_cmi_goldens():
