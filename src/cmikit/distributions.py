@@ -170,11 +170,11 @@ class JointDistribution:
             return counts
         if len(self._counts) >= MARGINAL_CACHE_SIZE:
             self._counts = {(1 << self.n) - 1: self._weights}
-        # Sum out of the smallest cached marginal that covers ``mask``; the full
-        # pmf, cached first, always qualifies.  The search reads a snapshot: a
-        # memoised witness template is shared, and another thread may add a table.
+        # Sum out of the smallest cached marginal that covers ``mask``; the full pmf,
+        # cached first, always qualifies.  Search a copy, made in one C call: another
+        # thread may add a table to a shared template's cache, even inside list(d.items()).
         src_mask, src = (1 << self.n) - 1, self._weights
-        for m, c in list(self._counts.items()):
+        for m, c in self._counts.copy().items():
             if len(c) < len(src) and not mask & ~m:
                 src_mask, src = m, c
         project = _projector(src_mask, mask)
