@@ -173,6 +173,7 @@ def test_parse_distribution_error_lines():
         # The last colon splits a row, so an earlier one belongs to a symbol.
         ("vars: A:2\n0:1 : 1/1\n", 2, 1, "bad symbol '0:1'"),
         ("vars: A:2\n0:1/1\n0:1/1\n", 3, 1, "duplicate row for outcome 0"),
+        ("vars: A:2\n 0 : 1/2\n\t0 : 1/2\n", 3, 2, "duplicate row for outcome 0"),
         ("vars: A:2\n0 :\n", 2, 4, "missing probability after ':'"),
         ("vars: A:2\n0 : 1/2/3\n", 2, 5, "malformed probability '1/2/3'"),
         ("vars: A:2\n0 : /2\n", 2, 5, "malformed probability '/2'"),
