@@ -313,3 +313,77 @@ def test_enumerate_canonical_is_deduplicated_and_bounded():
         enumerate_canonical(6, 2)
     with pytest.raises(ValueError):
         enumerate_canonical(3, 5)
+
+
+def test_value_class_reprs():
+    assert repr(Cmi(3, {1}, ({2}, {2}, set()))) == (
+        "Cmi(n=3, cond=frozenset({1}), blocks=(frozenset({2}), frozenset({2}), frozenset()))"
+    )
+    assert repr(Cmi(0)) == "Cmi(n=0, cond=frozenset(), blocks=())"
+    assert repr(CanonicalCmi(4, {1}, {2}, ({4}, {3}))) == (
+        "CanonicalCmi(n=4, cond=frozenset({1}), repeated=frozenset({2}), "
+        "parts=(frozenset({3}), frozenset({4})), degenerate=False)"
+    )
+    assert repr(CanonicalCmi.degenerate_form(3)) == (
+        "CanonicalCmi(n=3, cond=frozenset(), repeated=frozenset(), parts=(), degenerate=True)"
+    )
+
+
+def test_value_classes_take_keywords_and_defaults():
+    k = Cmi(n=3, cond={1}, blocks=[{2}, {3}])
+    assert k == Cmi(3, {1}, ({2}, {3}))
+    assert (k.n, k.cond, k.blocks) == (3, frozenset({1}), (frozenset({2}), frozenset({3})))
+    assert Cmi(3) == Cmi(3, frozenset(), ()) and Cmi(3).blocks == ()
+    c = CanonicalCmi(n=3, cond={1}, repeated={2})
+    assert (c.cond, c.repeated, c.parts, c.degenerate) == (frozenset({1}), frozenset({2}), (), False)
+    assert CanonicalCmi(n=3, degenerate=True) == CanonicalCmi.degenerate_form(3)
+    with pytest.raises(TypeError):
+        Cmi(3, set(), (), 4)
+    with pytest.raises(TypeError):
+        Cmi(n=3, _cond=0)
+
+
+def test_cmi_equality_ignores_block_order_but_counts_repeats():
+    a = Cmi(4, {1}, ({2}, {3, 4}, {2}))
+    b = Cmi(4, {1}, [{2}, {2}, {4, 3}])
+    assert a == b and hash(a) == hash(b) and a.blocks != b.blocks
+    assert a != Cmi(4, {1}, ({2}, {3, 4})) and a != Cmi(4, {1}, ({2}, {3, 4}, {2}, {2}))
+    assert Cmi(3, set(), (set(), {1})) != Cmi(3, set(), ({1},))
+    assert a.__eq__("I(2;3,4;2|1)") is NotImplemented and a != "I(2;3,4;2|1)"
+    assert Cmi(3) != CanonicalCmi.degenerate_form(3)
+    # Canonical forms compare and hash on every field but the frozenset views.
+    c = CanonicalCmi(4, {1}, {2}, ({4}, {3}))
+    same = canonicalize(Cmi(4, {1}, ({2, 4}, {3, 2})))
+    assert c == same and hash(c) == hash(same)
+    assert c != c.as_cmi() and c != CanonicalCmi(4, {1}, {2})
+    assert c != CanonicalCmi(4, set(), {2}, ({3}, {4}))
+    assert CanonicalCmi.degenerate_form(3) != CanonicalCmi.degenerate_form(4)
+
+
+@pytest.mark.parametrize(
+    "value, names",
+    [
+        (Cmi(3, {1}, ({2}, {3})), ("n", "cond", "blocks", "_cond", "_blocks")),
+        (
+            CanonicalCmi(4, {1}, {2}, ({3}, {4})),
+            ("n", "cond", "repeated", "parts", "degenerate", "_cond", "_rep", "_parts"),
+        ),
+    ],
+)
+def test_value_classes_are_immutable(value, names):
+    before = repr(value), hash(value)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name, 0))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert (repr(value), hash(value)) == before
+
+
+def test_value_classes_copy_and_pickle():
+    import copy
+    import pickle
+
+    for value in (Cmi(3, {1}, ({2}, {2}, set())), CanonicalCmi(4, {1}, {2}, ({3}, {4}))):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and repr(clone) == repr(value) and hash(clone) == hash(value)

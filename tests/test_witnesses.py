@@ -14,6 +14,7 @@ from oracle_reference import separating_member
 from samplers import random_cmi, wide_pairs
 from cmikit import (
     Cmi,
+    Witness,
     implies,
     is_valid,
     template_distribution,
@@ -135,6 +136,34 @@ def test_witness_refuses_when_implication_holds():
 def test_witness_is_deterministic():
     k, k2 = Cmi(3, set(), ({1}, {2})), Cmi(3, {3}, ({1}, {2}))
     assert witness_non_implication(k, k2) == witness_non_implication(k, k2)
+
+
+def test_witness_equality_is_field_wise_and_it_is_unhashable():
+    k, k2 = Cmi(3, set(), ({1}, {2})), Cmi(3, set(), ({1}, {3}))
+    w = witness_non_implication(k, k2)
+    d = w.distribution
+    assert repr(w) == (
+        "Witness(distribution=JointDistribution(sizes=(2, 2, 2), support=2), "
+        "direction=(Cmi(n=3, cond=frozenset(), blocks=(frozenset({1}), frozenset({2}))), "
+        "Cmi(n=3, cond=frozenset(), blocks=(frozenset({1}), frozenset({3})))), "
+        "template='COPY2', pivot_indices=(3, 1))"
+    )
+    same = Witness(distribution=d, direction=(k, k2), template="COPY2", pivot_indices=(3, 1))
+    assert w == same and w == witness_non_implication(k, k2)
+    # An equal distribution that is a different object still compares equal.
+    assert w == Witness(template_distribution.__wrapped__(3, "COPY2", (3, 1)), (k, k2), "COPY2", (3, 1))
+    assert w != Witness(template_distribution(3, "COPY2", (2, 1)), (k, k2), "COPY2", (3, 1))
+    assert w != Witness(d, (k2, k), "COPY2", (3, 1))
+    assert w != Witness(d, (k, k2), "COPY3", (3, 1))
+    assert w != Witness(d, (k, k2), "COPY2", (1, 3))
+    assert w.__eq__((d, (k, k2), "COPY2", (3, 1))) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(w)
+    with pytest.raises(AttributeError):
+        w.template = "XOR"
+    with pytest.raises(AttributeError):
+        del w.direction
+    assert w == same
 
 
 def test_non_equivalence_prefers_forward_direction():
