@@ -10,7 +10,6 @@ the exact distribution oracle on deterministic random samples.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable, Iterator
@@ -119,6 +118,7 @@ def _print_json(
     statements' canonical forms (as ``render`` writes them), then those of
     ``fields`` that are not None.
     """
+    import json  # here, as only --json needs it: a cold start without it is faster
     payload = {
         "command": args.command,
         "verdict": verdict,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -72,38 +71,71 @@ def _mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), _indices(mask))
 
 
-@dataclass(frozen=True, slots=True)
-class Cmi:
+class _Frozen:
+    """Immutable ``__slots__`` value; its repr and copies read ``_fields``, the
+    constructor's parameters in order."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _fill(self, *values: object) -> _Frozen:
+        """Set the slots, in ``__slots__`` order, past the write guard; returns self."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class Cmi(_Frozen):
     """A CMI statement ``(cond, <blocks>)`` over the ground set ``{1..n}``.
 
     ``blocks`` is a multiset: equality ignores order but counts repeats.  The
     stored tuple preserves the order the blocks were written in, so transforms
     that address blocks by position (``weaken``) stay well-defined.  Blocks may
     be empty and may overlap ``cond``; purity is not required at this level.
-    Equality and hashing read the masks; ``_blocks`` is sorted.
+    Equality and hashing read the masks ``_cond`` and ``_blocks`` (sorted).
     """
 
-    n: int
-    cond: IndexSet = field(default=frozenset(), compare=False)
-    blocks: tuple[IndexSet, ...] = field(default=(), compare=False)
-    _cond: int = field(init=False, repr=False)
-    _blocks: tuple[int, ...] = field(init=False, repr=False)
+    __slots__ = ("n", "cond", "blocks", "_cond", "_blocks")
+    _fields = __slots__[:3]
 
-    def __post_init__(self) -> None:
-        _check_ground(self.n)
-        cond = _coerce_index_set(self.cond)
-        blocks = tuple(_coerce_index_set(b) for b in self.blocks)
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_cond", _mask_of(cond, self.n, "conditioning set contains index"))
-        object.__setattr__(self, "_blocks", tuple(sorted([_mask_of(b, self.n, "block contains index") for b in blocks])))
+    def __init__(self, n: int, cond: Iterable[int] = frozenset(), blocks: Iterable[Iterable[int]] = ()) -> None:
+        _check_ground(n)
+        cond = _coerce_index_set(cond)
+        blocks = tuple(_coerce_index_set(b) for b in blocks)
+        cond_mask = _mask_of(cond, n, "conditioning set contains index")
+        masks = sorted([_mask_of(b, n, "block contains index") for b in blocks])
+        self._fill(n, cond, blocks, cond_mask, tuple(masks))
+
+    @classmethod
+    def _from_masks(cls, n: int, cond: int, blocks: Sequence[int]) -> Cmi:
+        """Build from masks inside ``1..n``; blocks keep the given order."""
+        views = tuple(frozenset(_indices(b)) for b in blocks)
+        return cls.__new__(cls)._fill(n, frozenset(_indices(cond)), views, cond, tuple(sorted(blocks)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self._cond, self._blocks) == (other.n, other._cond, other._blocks)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._cond, self._blocks))
 
     def sorted_blocks(self) -> tuple[IndexSet, ...]:
         return tuple(sorted(self.blocks, key=block_key))
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalCmi:
+class CanonicalCmi(_Frozen):
     """Canonical form ``(cond, repeated, parts)`` with a distinguished degenerate value.
 
     Structural equality of canonical forms decides statement equivalence.
@@ -114,25 +146,22 @@ class CanonicalCmi:
     to carry no indices at all.  Equality and hashing read the masks.
     """
 
-    n: int
-    cond: IndexSet = field(default=frozenset(), compare=False)
-    repeated: IndexSet = field(default=frozenset(), compare=False)
-    parts: tuple[IndexSet, ...] = field(default=(), compare=False)
-    degenerate: bool = False
-    _cond: int = field(init=False, repr=False)
-    _rep: int = field(init=False, repr=False)
-    _parts: tuple[int, ...] = field(init=False, repr=False)  # in ``parts`` order
+    __slots__ = ("n", "cond", "repeated", "parts", "degenerate", "_cond", "_rep", "_parts")
+    _fields = __slots__[:5]
 
-    def __post_init__(self) -> None:
-        _check_ground(self.n)
-        cond = _coerce_index_set(self.cond)
-        rep = _coerce_index_set(self.repeated)
-        parts = sorted((_coerce_index_set(p) for p in self.parts), key=block_key)
-        if self.degenerate and (cond or rep or parts):
+    def __init__(
+        self, n: int, cond: Iterable[int] = frozenset(), repeated: Iterable[int] = frozenset(),
+        parts: Iterable[Iterable[int]] = (), degenerate: bool = False
+    ) -> None:
+        _check_ground(n)
+        cond = _coerce_index_set(cond)
+        rep = _coerce_index_set(repeated)
+        parts = sorted((_coerce_index_set(p) for p in parts), key=block_key)
+        if degenerate and (cond or rep or parts):
             raise ValueError("the degenerate canonical form carries no indices")
-        masks = [_mask_of(cond, self.n, "conditioning set contains index"), _mask_of(rep, self.n, "repeated set contains index")]
+        masks = [_mask_of(cond, n, "conditioning set contains index"), _mask_of(rep, n, "repeated set contains index")]
         for p in parts:
-            masks.append(_mask_of(p, self.n, "part contains index"))
+            masks.append(_mask_of(p, n, "part contains index"))
             if not p:
                 raise ValueError("canonical parts must be non-empty")
         # Adding masks carries exactly where two of them share an index.
@@ -140,29 +169,30 @@ class CanonicalCmi:
             raise ValueError("condition, repeated set and parts must be pairwise disjoint")
         if len(parts) == 1:
             raise ValueError("a canonical form never has exactly one part")
-        if not (self.degenerate or rep or parts):
+        if not (degenerate or rep or parts):
             raise ValueError("a non-degenerate canonical form needs a repeated set or parts")
-        self._store(masks[0], masks[1], masks[2:])
+        self._store(n, degenerate, masks[0], masks[1], masks[2:])
 
     @classmethod
-    def _from_masks(
-        cls, n: int, cond: int, rep: int, parts: Iterable[int], degenerate: bool = False
-    ) -> "CanonicalCmi":
+    def _from_masks(cls, n: int, cond: int, rep: int, parts: Iterable[int], degenerate: bool = False) -> CanonicalCmi:
         """Build from masks that already meet the invariants; parts in any order."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degenerate", degenerate)
-        self._store(cond, rep, parts)
-        return self
+        return cls.__new__(cls)._store(n, degenerate, cond, rep, parts)
 
-    def _store(self, cond: int, rep: int, parts: Iterable[int]) -> None:
+    def _store(self, n: int, degenerate: bool, cond: int, rep: int, parts: Iterable[int]) -> CanonicalCmi:
         ranked = sorted((_mask_key(m), m) for m in parts)
-        object.__setattr__(self, "cond", frozenset(_indices(cond)))
-        object.__setattr__(self, "repeated", frozenset(_indices(rep)))
-        object.__setattr__(self, "parts", tuple(frozenset(key[1]) for key, _ in ranked))
-        object.__setattr__(self, "_cond", cond)
-        object.__setattr__(self, "_rep", rep)
-        object.__setattr__(self, "_parts", tuple(m for _, m in ranked))
+        views = tuple(frozenset(key[1]) for key, _ in ranked)
+        masks = tuple(m for _, m in ranked)
+        return self._fill(n, frozenset(_indices(cond)), frozenset(_indices(rep)), views, degenerate, cond, rep, masks)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.degenerate, self._cond, self._rep, self._parts) == (
+                other.n, other.degenerate, other._cond, other._rep, other._parts
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.degenerate, self._cond, self._rep, self._parts))
 
     @classmethod
     def degenerate_form(cls, n: int) -> "CanonicalCmi":
@@ -170,11 +200,10 @@ class CanonicalCmi:
         return cls._from_masks(n, 0, 0, (), True)
 
     def as_cmi(self) -> Cmi:
-        """The statement this canonical form denotes, in its general block shape."""
-        if self.degenerate:
-            return Cmi(self.n, frozenset(), ())
-        blocks = ((self.repeated, self.repeated) if self.repeated else ()) + self.parts
-        return Cmi(self.n, self.cond, blocks)
+        """The statement this canonical form denotes, in its general block shape
+        (``(∅, <>)`` for the degenerate form, whose masks are all empty)."""
+        rep = (self._rep, self._rep) if self._rep else ()
+        return Cmi._from_masks(self.n, self._cond, rep + self._parts)
 
 
 def pure_form(k: Cmi) -> Cmi:
@@ -261,8 +290,7 @@ def residual(k: Cmi, k2: Cmi) -> Cmi:
     """
     _require_same_ground(k, k2)
     cond, d, left = _residual_masks(canonicalize(k), canonicalize(k2))
-    blocks = ((d, d) if d else ()) + tuple(left)
-    return Cmi(k.n, _indices(cond), tuple(_indices(b) for b in blocks))
+    return Cmi._from_masks(k.n, cond, ((d, d) if d else ()) + tuple(left))
 
 
 # Verdicts of the sub-CMI test: it holds, or the first clause that fails.
@@ -380,16 +408,11 @@ def decompose_to_cis(k: Cmi) -> list[Cmi]:
     is valid on a distribution exactly when every returned statement is.
     Degenerate input yields an empty list.
     """
-    c = canonicalize(k)
-    if c.degenerate:
-        return []
-    out: list[Cmi] = []
-    if c.repeated:
-        out.append(Cmi(c.n, c.cond, (c.repeated, c.repeated)))
-    acc = c.cond | c.repeated
-    for i, part in enumerate(c.parts[:-1]):
-        rest = frozenset().union(*c.parts[i + 1 :])
-        out.append(Cmi(c.n, acc, (part, rest)))
+    c = canonicalize(k)  # the degenerate form's masks are all empty
+    out = [Cmi._from_masks(c.n, c._cond, (c._rep, c._rep))] if c._rep else []
+    acc = c._cond | c._rep
+    for i, part in enumerate(c._parts[:-1]):
+        out.append(Cmi._from_masks(c.n, acc, (part, sum(c._parts[i + 1 :]))))  # disjoint parts
         acc |= part
     return out
 

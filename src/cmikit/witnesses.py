@@ -14,12 +14,11 @@ the same template at the same pivots.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .distributions import JointDistribution, is_valid
 from .statements import COPY2, COPY3, HOLDS, SINGLE, XOR
-from .statements import Cmi, _sub_cmi_clause
+from .statements import Cmi, _Frozen, _sub_cmi_clause
 
 TEMPLATES = (SINGLE, COPY2, COPY3, XOR)
 
@@ -69,17 +68,28 @@ def template_distribution(n: int, template: str, pivots: tuple[int, ...]) -> Joi
     return JointDistribution._from_weights((2,) * n, weights, len(weights))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Frozen):
     """A verified separating distribution for the ordered pair ``direction``.
 
     The distribution satisfies ``direction[0]`` and violates ``direction[1]``.
+    Equality is field-wise.
     """
 
-    distribution: JointDistribution
-    direction: tuple[Cmi, Cmi]
-    template: str
-    pivot_indices: tuple[int, ...]
+    __slots__ = _fields = ("distribution", "direction", "template", "pivot_indices")
+
+    def __init__(
+        self, distribution: JointDistribution, direction: tuple[Cmi, Cmi], template: str, pivot_indices: tuple[int, ...]
+    ) -> None:
+        self._fill(distribution, direction, template, pivot_indices)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.distribution, self.direction, self.template, self.pivot_indices) == (
+                other.distribution, other.direction, other.template, other.pivot_indices
+            )
+        return NotImplemented
+
+    __hash__ = None  # a JointDistribution is unhashable, so a Witness is too
 
 
 def _try(k: Cmi, k2: Cmi, template: str, pivots: tuple[int, ...]) -> Witness:

@@ -365,6 +365,18 @@ def test_module_entry_point_exit_codes():
     )
 
 
+def test_cold_import_loads_no_dataclasses_inspect_or_json():
+    # -S keeps site's .pth imports out, so only what cmikit.cli imports counts;
+    # json is imported by --json alone, and the value classes are plain classes.
+    code = "import sys, cmikit.cli; print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_check_golden_output(capsys, xor_file):
     code, out, _ = run(capsys, "check", "I(1 ; 2)", "--n", "3", "--dist", xor_file, "--verify")
     assert code == 0

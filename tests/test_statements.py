@@ -1,7 +1,9 @@
 """Frozen examples for the statement algebra: normal forms, implication, transforms."""
 
 import pytest
+from hypothesis import given, settings
 
+from samplers import wide_pairs
 from cmikit import (
     CanonicalCmi,
     Cmi,
@@ -387,3 +389,47 @@ def test_value_classes_copy_and_pickle():
     for value in (Cmi(3, {1}, ({2}, {2}, set())), CanonicalCmi(4, {1}, {2}, ({3}, {4}))):
         for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert clone == value and repr(clone) == repr(value) and hash(clone) == hash(value)
+
+
+def test_value_classes_refuse_new_attributes():
+    from dataclasses import is_dataclass
+
+    for value in (Cmi(3, {1}, ({2}, {3})), CanonicalCmi(4, {1}, {2}, ({3}, {4}))):
+        assert not is_dataclass(value) and not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.other = 1
+        with pytest.raises(AttributeError):
+            del value.other
+
+
+def constructed_as_cmi(c):
+    """``as_cmi`` through the public constructor, from sorted index lists.
+
+    A frozenset's repr lists members in table order, which depends on the
+    order they were inserted in; ``as_cmi`` inserts them in increasing order,
+    as sorted lists do.
+    """
+    blocks = ((c.repeated, c.repeated) if c.repeated else ()) + c.parts
+    return Cmi(c.n, sorted(c.cond), [sorted(b) for b in blocks])
+
+
+def check_as_cmi(c):
+    k, built = c.as_cmi(), constructed_as_cmi(c)
+    assert k == built and repr(k) == repr(built)
+    assert repr(k.cond) == repr(c.cond) and k.blocks[len(k.blocks) - len(c.parts) :] == c.parts
+    assert canonicalize(k) == c
+
+
+def test_as_cmi_matches_the_public_constructor_on_every_class_over_n4():
+    forms = enumerate_canonical(4, 4)
+    assert len(forms) == 182
+    for c in forms:
+        check_as_cmi(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_pairs())
+def test_as_cmi_matches_the_public_constructor_up_to_n64(pair):
+    k, k2 = pair
+    for c in (canonicalize(k), canonicalize(k2), canonicalize(residual(k, k2))):
+        check_as_cmi(c)
