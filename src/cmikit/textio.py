@@ -71,7 +71,10 @@ def _parse_indices(tok: _Tokens, n: int) -> IndexSet:
         token = tok.peek()
         if not token.isdecimal():
             raise tok.error(f"expected a variable index, found {tok.found()}")
-        value = int(token)
+        try:
+            value = int(token)
+        except ValueError:  # more digits than Python converts (4,300 by default)
+            raise tok.error(f"number too long ({len(token)} digits)") from None
         if not 1 <= value <= n:
             raise tok.error(f"index {value} outside the ground set 1..{n}")
         indices.append(value)
@@ -158,7 +161,10 @@ def parse_distribution(text: str) -> JointDistribution:
                     raise ParseError(
                         lineno, col, f"bad variable declaration {m.group()!r}; expected NAME:SIZE"
                     )
-                size = int(size_text)
+                try:
+                    size = int(size_text)
+                except ValueError:  # as for an index
+                    raise ParseError(lineno, col, f"number too long ({len(size_text)} digits)") from None
                 if size < 1:
                     raise ParseError(lineno, col, f"alphabet size must be >= 1, got {size}")
                 sizes.append(size)
@@ -178,7 +184,10 @@ def parse_distribution(text: str) -> JointDistribution:
             col, word = m.start() + 1, m.group()
             if not word.isdecimal():
                 raise ParseError(lineno, col, f"bad symbol {word!r}; expected an integer")
-            s = int(word)
+            try:
+                s = int(word)
+            except ValueError:  # as for an index
+                raise ParseError(lineno, col, f"number too long ({len(word)} digits)") from None
             if s >= size:
                 raise ParseError(
                     lineno, col, f"symbol {s} of variable {i} outside its alphabet 0..{size - 1}"
@@ -195,12 +204,19 @@ def parse_distribution(text: str) -> JointDistribution:
             raise ParseError(
                 lineno, rat.start() + 1, f"malformed probability {rat.group()!r}; expected NUM/DEN"
             )
-        if int(den) == 0:
+        try:
+            den = int(den)
+        except ValueError:  # as for an index
+            raise ParseError(lineno, rat.start() + 1, f"number too long ({len(den)} digits)") from None
+        if den == 0:
             raise ParseError(lineno, rat.start() + 1, "probability denominator is zero")
         key = tuple(outcome)
         if key in rows:
             raise ParseError(lineno, indent + 1, f"duplicate row for outcome {' '.join(map(str, key))}")
-        rows[key] = (int(num), int(den))
+        try:
+            rows[key] = (int(num), den)
+        except ValueError:  # as for an index
+            raise ParseError(lineno, rat.start() + 1, f"number too long ({len(num)} digits)") from None
     if sizes is None:
         raise ParseError(1, 1, "missing 'vars:' header line")
     weights, denominator = _common_denominator((key, num, den) for key, (num, den) in rows.items())

@@ -443,6 +443,15 @@ def test_parse_errors_exit_2(capsys):
     assert err == "error: line 1, column 5: index 9 outside the ground set 1..5\n"
 
 
+def test_digit_runs_too_long_for_int_exit_2_with_a_position(capsys, tmp_path):
+    code, out, err = run(capsys, "canon", "I(1 ; " + "2" * 5000 + ")", "--n", "5")
+    assert (code, out, err) == (2, "", "error: line 1, column 7: number too long (5000 digits)\n")
+    path = tmp_path / "long.dist"
+    path.write_text("vars: X1:2 X2:2\n0 0 : 1/1\n1 " + "0" * 4999 + "1 : 0/1\n")
+    code, out, err = run(capsys, "check", "I(1 ; 2)", "--n", "2", "--dist", str(path))
+    assert (code, out, err) == (2, "", "error: line 3, column 3: number too long (5000 digits)\n")
+
+
 def test_missing_distribution_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", "I(1 ; 2)", "--n", "2", "--dist", str(tmp_path / "nope"))
     assert code == 2 and err.startswith("error:")

@@ -208,6 +208,36 @@ def test_non_decimal_digits_are_parse_errors():
         assert fragment in str(exc.value)
 
 
+# Python's int() refuses a decimal string of more than 4,300 digits by default.
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "parse, line, column, message",
+    [
+        pytest.param(lambda: parse_cmi(f"I(1 ; 2 | {LONG})", 5), 1, 11, None, id="index"),
+        pytest.param(lambda: parse_distribution(f"vars: X:2 Y:{LONG}\n0 0 : 1/1\n"), 1, 11, None, id="alphabet size"),
+        pytest.param(lambda: parse_distribution(f"vars: X:2 Y:2\n0 {LONG} : 1/1\n"), 2, 3, None, id="symbol"),
+        pytest.param(lambda: parse_distribution(f"vars: X:2\n0 : {LONG}/2\n1 : 1/2\n"), 2, 5, None, id="numerator"),
+        pytest.param(lambda: parse_distribution(f"vars: X:2\n0 : 1/2\n1 :  1/{LONG}\n"), 3, 6, None, id="denominator"),
+        # The numerator is read last, after the zero-denominator and duplicate checks.
+        pytest.param(
+            lambda: parse_distribution(f"vars: X:2\n0 : {LONG}/0\n"), 2, 5,
+            "probability denominator is zero", id="numerator after a zero denominator",
+        ),
+        pytest.param(
+            lambda: parse_distribution(f"vars: X:2\n0 : 1/2\n0 : {LONG}/2\n"), 3, 1,
+            "duplicate row for outcome 0", id="numerator after a duplicate",
+        ),
+    ],
+)
+def test_digit_runs_too_long_for_int_are_parse_errors(parse, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse()
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"line {line}, column {column}: {message or 'number too long (5000 digits)'}"
+
+
 def test_decimal_digits_of_other_scripts_parse():
     assert parse_cmi("I(1;٣)", 3) == Cmi(3, set(), ({1}, {3}))
     p = parse_distribution("vars: X:٢\n٠ : 1/2\n١ : 1/2\n")
