@@ -362,6 +362,26 @@ def test_cmi_equality_ignores_block_order_but_counts_repeats():
     assert CanonicalCmi.degenerate_form(3) != CanonicalCmi.degenerate_form(4)
 
 
+def test_value_classes_hash_their_mask_tuples():
+    k = Cmi(5, {1}, ({4, 5}, {2}, {2}))
+    assert hash(k) == hash((5, 0b1, (0b10, 0b10, 0b11000)))
+    c = CanonicalCmi(5, {1}, {2}, ({4, 5}, {3}))
+    assert hash(c) == hash((5, False, 0b1, 0b10, (0b100, 0b11000)))
+    assert hash(CanonicalCmi.degenerate_form(5)) == hash((5, True, 0, 0, ()))
+
+
+def test_cmi_constructor_reports_the_first_failed_check():
+    # The ground-set size, then the condition, then the blocks in written order.
+    cases = [
+        (65, {99}, ({99},), "ground-set size must be in 0..64, got 65"),
+        (3, {4}, ({5},), "conditioning set contains index 4 outside"),
+        (3, {1}, ({2}, {6}, {5}), "block contains index 6 outside"),
+    ]
+    for n, cond, blocks, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Cmi(n, cond, blocks)
+
+
 @pytest.mark.parametrize(
     "value, names",
     [
