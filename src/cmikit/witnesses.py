@@ -80,7 +80,13 @@ class Witness(_Frozen):
     def __init__(
         self, distribution: JointDistribution, direction: tuple[Cmi, Cmi], template: str, pivot_indices: tuple[int, ...]
     ) -> None:
-        self._fill(distribution, direction, template, pivot_indices)
+        # Written out, not through ``_fill``: its loop costs about 0.5 us more,
+        # which a census pays once for every failed pair.
+        _set = object.__setattr__
+        _set(self, "distribution", distribution)
+        _set(self, "direction", direction)
+        _set(self, "template", template)
+        _set(self, "pivot_indices", pivot_indices)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
