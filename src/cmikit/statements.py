@@ -146,7 +146,7 @@ class CanonicalCmi(_Frozen):
     to carry no indices at all.  Equality and hashing read the masks.
     """
 
-    __slots__ = ("n", "cond", "repeated", "parts", "degenerate", "_cond", "_rep", "_parts")
+    __slots__ = ("n", "cond", "repeated", "parts", "degenerate", "_cond", "_rep", "_parts")  # _parts in parts order
     _fields = __slots__[:5]
 
     def __init__(
