@@ -58,3 +58,14 @@ def test_out_of_range_flags_exit_2(capsys, script, argv, message):
         load(script).main(argv)
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_sweep_covers_every_subcommand_and_exit_code(capsys):
+    assert load("cli_sweep").main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{len(lines) - 1} invocations"
+    rows = [line.split(" ", 2) for line in lines[:-1]]
+    assert {code for code, _, _ in rows} == {"0", "1", "2"}
+    assert all(len(digest) == 64 for _, digest, _ in rows)
+    commands = {label.split()[0] for _, _, label in rows if label}
+    assert {"canon", "equiv", "implies", "witness", "check", "entropy", "decompose"} <= commands
