@@ -16,8 +16,8 @@ import math
 import random
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import index, itemgetter, or_
 
 from .statements import Cmi, _indices, _mask_of, canonicalize
 
@@ -109,14 +109,14 @@ class JointDistribution:
         alphabet_sizes: Sequence[int],
         pmf: Mapping[Assignment, Rational],
     ) -> None:
-        sizes = tuple(int(s) for s in alphabet_sizes)
+        sizes = tuple(map(index, alphabet_sizes))
         for s in sizes:
             if s < 1:
                 raise ValueError(f"alphabet sizes must be >= 1, got {s}")
         n = len(sizes)
         rows: list[tuple[Assignment, int, int]] = []
         for outcome, prob in pmf.items():
-            outcome = tuple(int(s) for s in outcome)
+            outcome = tuple(map(index, outcome))
             if len(outcome) != n:
                 raise ValueError(f"outcome {outcome} has arity {len(outcome)}, expected {n}")
             for i, s in enumerate(outcome):
@@ -161,7 +161,7 @@ class JointDistribution:
         self._counts: dict[int, dict[Assignment, int]] = {(1 << self.n) - 1: weights}
 
     def _mask(self, indices: Iterable[int]) -> int:
-        return _mask_of(sorted(int(i) for i in indices), self.n, "variable index")
+        return _mask_of(sorted(map(index, indices)), self.n, "variable index")
 
     def _marginal_counts(self, mask: int) -> dict[Assignment, int]:
         """Integer weights of the marginal on the variables of ``mask`` (cached)."""
@@ -214,9 +214,13 @@ def require_matching_arity(p: JointDistribution, k: Cmi) -> None:
 
 def entropy(p: JointDistribution, indices: Iterable[int]) -> float:
     """Shannon entropy in bits of the marginal on ``indices``."""
+    return _entropy(p, p._mask(indices))
+
+
+def _entropy(p: JointDistribution, mask: int) -> float:
     d = p._denominator
     total = 0.0
-    for c in p._marginal_counts(p._mask(indices)).values():
+    for c in p._marginal_counts(mask).values():
         # Integer true division is correctly rounded, as float(Fraction(c, d)) is.
         q = c / d
         total -= q * math.log2(q)
@@ -225,9 +229,8 @@ def entropy(p: JointDistribution, indices: Iterable[int]) -> float:
 
 def cond_entropy(p: JointDistribution, a: Iterable[int], c: Iterable[int]) -> float:
     """Conditional entropy H(X_a | X_c) in bits."""
-    a = frozenset(a)
-    c = frozenset(c)
-    return entropy(p, a | c) - entropy(p, c)
+    a, c = p._mask(a), p._mask(c)
+    return _entropy(p, a | c) - _entropy(p, c)
 
 
 def cond_mutual_info(
@@ -237,10 +240,8 @@ def cond_mutual_info(
     c: Iterable[int] = frozenset(),
 ) -> float:
     """Conditional mutual information I(X_a ; X_b | X_c) in bits."""
-    a = frozenset(a)
-    b = frozenset(b)
-    c = frozenset(c)
-    return entropy(p, a | c) + entropy(p, b | c) - entropy(p, a | b | c) - entropy(p, c)
+    a, b, c = p._mask(a), p._mask(b), p._mask(c)
+    return _entropy(p, a | c) + _entropy(p, b | c) - _entropy(p, a | b | c) - _entropy(p, c)
 
 
 def j_value(p: JointDistribution, k: Cmi) -> float:
@@ -250,12 +251,12 @@ def j_value(p: JointDistribution, k: Cmi) -> float:
     non-negative); statements with at most one block give literally ``0.0``.
     """
     require_matching_arity(p, k)
-    if len(k.blocks) <= 1:
+    if len(k._blocks) <= 1:
         return 0.0
-    union = frozenset().union(*k.blocks)
-    total = -cond_entropy(p, union, k.cond)
-    for b in k.blocks:
-        total += cond_entropy(p, b, k.cond)
+    c = k._cond
+    total = -(_entropy(p, reduce(or_, k._written, c)) - _entropy(p, c))
+    for b in k._written:  # in written order: the float sum depends on it
+        total += _entropy(p, b | c) - _entropy(p, c)
     return total + 0.0
 
 
@@ -315,7 +316,7 @@ def random_distribution(
     """
     if not 0 <= n <= RANDOM_MAX_N:
         raise ValueError(f"random_distribution supports n in 0..{RANDOM_MAX_N}, got {n}")
-    sizes = tuple(int(s) for s in alphabet_sizes)
+    sizes = tuple(map(index, alphabet_sizes))
     if len(sizes) != n:
         raise ValueError(f"expected {n} alphabet sizes, got {len(sizes)}")
     for s in sizes:

@@ -7,18 +7,19 @@ forms, the residual construction, exact decision procedures for equivalence
 and single-premise implication, and the sound statement transforms (weakening,
 decomposition into a chain of pairwise conditional independencies).
 
-Index sets are public ``frozenset`` fields, mirrored once as ``int`` bitmasks
-(index ``i`` is bit ``i - 1``) for equality, hashing, ``canonicalize`` and one
-clause function, which names the first failing clause of the sub-CMI test and
-the witness template and pivots it plans.  ``implies`` (alias ``is_sub_cmi``)
-asks whether none fails.
+Index sets are stored only as ``int`` bitmasks (index ``i`` is bit ``i - 1``);
+each read of a public ``frozenset`` field builds fresh, equal sets from them.
+Equality, hashing, ``canonicalize`` and one clause function read the masks; the
+clause function names the first failing clause of the sub-CMI test and the
+witness template and pivots it plans.  ``implies`` (alias ``is_sub_cmi``) asks
+whether none fails.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 IndexSet = frozenset[int]
@@ -33,14 +34,15 @@ def _check_ground(n: int) -> None:
 
 
 def _coerce_index_set(members: Iterable[int]) -> IndexSet:
-    return frozenset(int(i) for i in members)
+    return frozenset(map(index, members))
 
 
 def _mask_of(members: Iterable[int], n: int, what: str) -> int:
-    """Bitmask of ``members`` (index ``i`` is bit ``i - 1``); the first member
-    outside ``1..n`` raises "<what> <i> outside the ground set 1..<n>"."""
+    """Bitmask of ``members`` (index ``i`` is bit ``i - 1``); a non-integer raises
+    ``TypeError``, the first outside ``1..n`` "<what> <i> outside the ground set 1..<n>"."""
     mask = 0
     for i in members:
+        i = index(i)
         if not 1 <= i <= n:
             raise ValueError(f"{what} {i} outside the ground set 1..{n}")
         mask |= 1 << (i - 1)
@@ -55,6 +57,11 @@ def _indices(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+def _view(mask: int) -> IndexSet:
+    """``mask`` as a frozenset, its members inserted in increasing order."""
+    return frozenset(_indices(mask))
 
 
 def _low(mask: int) -> int:
@@ -100,28 +107,29 @@ class Cmi(_Frozen):
     """A CMI statement ``(cond, <blocks>)`` over the ground set ``{1..n}``.
 
     ``blocks`` is a multiset: equality ignores order but counts repeats.  The
-    stored tuple preserves the order the blocks were written in, so transforms
-    that address blocks by position (``weaken``) stay well-defined.  Blocks may
-    be empty and may overlap ``cond``; purity is not required at this level.
-    Equality and hashing read the masks ``_cond`` and ``_blocks`` (sorted).
+    blocks keep the order they were written in, so transforms that address
+    blocks by position (``weaken``) stay well-defined.  Blocks may be empty and
+    may overlap ``cond``; purity is not required at this level.  Only masks are
+    stored: ``_cond``, ``_written`` and the sorted ``_blocks``, which equality and
+    hashing read.  Each read of ``cond`` or ``blocks`` builds fresh frozensets.
     """
 
-    __slots__ = ("n", "cond", "blocks", "_cond", "_blocks")
-    _fields = __slots__[:3]
+    __slots__ = ("n", "_cond", "_written", "_blocks")
+    _fields = ("n", "cond", "blocks")
 
     def __init__(self, n: int, cond: Iterable[int] = frozenset(), blocks: Iterable[Iterable[int]] = ()) -> None:
         _check_ground(n)
-        cond = _coerce_index_set(cond)
-        blocks = tuple(_coerce_index_set(b) for b in blocks)
         cond_mask = _mask_of(cond, n, "conditioning set contains index")
-        masks = sorted([_mask_of(b, n, "block contains index") for b in blocks])
-        self._fill(n, cond, blocks, cond_mask, tuple(masks))
+        written = tuple(_mask_of(b, n, "block contains index") for b in blocks)
+        self._fill(n, cond_mask, written, tuple(sorted(written)))
 
     @classmethod
     def _from_masks(cls, n: int, cond: int, blocks: Sequence[int]) -> Cmi:
         """Build from masks inside ``1..n``; blocks keep the given order."""
-        views = tuple(frozenset(_indices(b)) for b in blocks)
-        return cls.__new__(cls)._fill(n, frozenset(_indices(cond)), views, cond, tuple(sorted(blocks)))
+        return cls.__new__(cls)._fill(n, cond, tuple(blocks), tuple(sorted(blocks)))
+
+    cond = property(lambda self: _view(self._cond))
+    blocks = property(lambda self: tuple(map(_view, self._written)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -132,7 +140,7 @@ class Cmi(_Frozen):
         return hash((self.n, self._cond, self._blocks))
 
     def sorted_blocks(self) -> tuple[IndexSet, ...]:
-        return tuple(sorted(self.blocks, key=block_key))
+        return tuple(map(_view, sorted(self._blocks, key=_mask_key)))
 
 
 class CanonicalCmi(_Frozen):
@@ -143,11 +151,13 @@ class CanonicalCmi(_Frozen):
     every part is non-empty, parts are stored sorted, the part count is never
     exactly 1, and a non-degenerate form has a repeated set or at least two
     parts.  The degenerate value (true under every distribution) is normalized
-    to carry no indices at all.  Equality and hashing read the masks.
+    to carry no indices at all.  Only the masks ``_cond``, ``_rep`` and ``_parts``
+    are stored, which equality and hashing read; each read of ``cond``,
+    ``repeated`` or ``parts`` builds fresh frozensets.
     """
 
-    __slots__ = ("n", "cond", "repeated", "parts", "degenerate", "_cond", "_rep", "_parts")  # _parts in parts order
-    _fields = __slots__[:5]
+    __slots__ = ("n", "degenerate", "_cond", "_rep", "_parts")  # _parts sorted by _mask_key
+    _fields = ("n", "cond", "repeated", "parts", "degenerate")
 
     def __init__(
         self, n: int, cond: Iterable[int] = frozenset(), repeated: Iterable[int] = frozenset(),
@@ -171,18 +181,16 @@ class CanonicalCmi(_Frozen):
             raise ValueError("a canonical form never has exactly one part")
         if not (degenerate or rep or parts):
             raise ValueError("a non-degenerate canonical form needs a repeated set or parts")
-        self._store(n, degenerate, masks[0], masks[1], masks[2:])
+        self._fill(n, degenerate, masks[0], masks[1], tuple(masks[2:]))
 
     @classmethod
     def _from_masks(cls, n: int, cond: int, rep: int, parts: Iterable[int], degenerate: bool = False) -> CanonicalCmi:
         """Build from masks that already meet the invariants; parts in any order."""
-        return cls.__new__(cls)._store(n, degenerate, cond, rep, parts)
+        return cls.__new__(cls)._fill(n, degenerate, cond, rep, tuple(sorted(parts, key=_mask_key)))
 
-    def _store(self, n: int, degenerate: bool, cond: int, rep: int, parts: Iterable[int]) -> CanonicalCmi:
-        ranked = sorted((_mask_key(m), m) for m in parts)
-        views = tuple(frozenset(key[1]) for key, _ in ranked)
-        masks = tuple(m for _, m in ranked)
-        return self._fill(n, frozenset(_indices(cond)), frozenset(_indices(rep)), views, degenerate, cond, rep, masks)
+    cond = property(lambda self: _view(self._cond))
+    repeated = property(lambda self: _view(self._rep))
+    parts = property(lambda self: tuple(map(_view, self._parts)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -208,12 +216,13 @@ class CanonicalCmi(_Frozen):
 
 def pure_form(k: Cmi) -> Cmi:
     """Strip the conditioning set out of every block and drop emptied blocks."""
-    return Cmi(k.n, k.cond, tuple(b - k.cond for b in k.blocks if b - k.cond))
+    free = ~k._cond
+    return Cmi._from_masks(k.n, k._cond, [b & free for b in k._written if b & free])
 
 
 def is_pure(k: Cmi) -> bool:
     """True when every block is non-empty and disjoint from the condition."""
-    return all(b and not (b & k.cond) for b in k.blocks)
+    return all(b and not b & k._cond for b in k._written)
 
 
 def repeated_indices(k: Cmi) -> IndexSet:
@@ -225,10 +234,7 @@ def repeated_indices(k: Cmi) -> IndexSet:
     """
     if not is_pure(k):
         raise ValueError("repeated_indices expects a pure statement; apply pure_form first")
-    if len(k.blocks) <= 1:
-        return frozenset()
-    counts = Counter(itertools.chain.from_iterable(k.blocks))
-    return frozenset(i for i, c in counts.items() if c >= 2)
+    return canonicalize(k).repeated  # on a pure statement it counts repeats over the same blocks
 
 
 #: Canonical forms kept by ``canonicalize``: a bound, so long runs over fresh
@@ -433,26 +439,27 @@ def weaken(
     """
     if not is_pure(k):
         raise ValueError("weaken expects a pure statement; apply pure_form first")
+    blocks = k.blocks
     subs = [_coerce_index_set(w) for w in sub_blocks]
-    if len(subs) != len(k.blocks):
-        raise ValueError(f"expected {len(k.blocks)} sub-blocks, got {len(subs)}")
-    for i, (w, q) in enumerate(zip(subs, k.blocks), start=1):
+    if len(subs) != len(blocks):
+        raise ValueError(f"expected {len(blocks)} sub-blocks, got {len(subs)}")
+    for i, (w, q) in enumerate(zip(subs, blocks), start=1):
         if not w <= q:
             raise ValueError(f"sub-block {i} is not contained in block {i}")
     groups = [_coerce_index_set(a) for a in grouping]
     seen: set[int] = set()
     for a in groups:
         for i in a:
-            if not 1 <= i <= len(k.blocks):
+            if not 1 <= i <= len(blocks):
                 raise ValueError(
-                    f"grouping refers to block position {i}, valid range is 1..{len(k.blocks)}"
+                    f"grouping refers to block position {i}, valid range is 1..{len(blocks)}"
                 )
             if i in seen:
                 raise ValueError(f"block position {i} appears in two groups")
             seen.add(i)
     merged = tuple(frozenset().union(*(subs[i - 1] for i in a)) if a else frozenset() for a in groups)
     r = _coerce_index_set(extra_cond)
-    all_blocks = frozenset().union(*k.blocks) if k.blocks else frozenset()
+    all_blocks = frozenset().union(*blocks)
     used = frozenset().union(*merged) if merged else frozenset()
     if not r <= all_blocks - used:
         raise ValueError(

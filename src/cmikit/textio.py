@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .distributions import JointDistribution, _common_denominator
-from .statements import MAX_GROUND_SET, Cmi, IndexSet
+from .statements import MAX_GROUND_SET, Cmi, _indices, _mask_key
 
 
 class ParseError(ValueError):
@@ -64,9 +64,9 @@ class _Tokens:
         return repr(token[0]) if token else "end of input"
 
 
-def _parse_indices(tok: _Tokens, n: int) -> IndexSet:
-    """``INDEX , ... , INDEX``, each checked against the ground set at its token."""
-    indices = []
+def _parse_indices(tok: _Tokens, n: int) -> int:
+    """Mask of ``INDEX , ... , INDEX``, each checked against the ground set at its token."""
+    mask = 0
     while True:
         token = tok.peek()
         if not token.isdecimal():
@@ -77,17 +77,17 @@ def _parse_indices(tok: _Tokens, n: int) -> IndexSet:
             raise tok.error(f"number too long ({len(token)} digits)") from None
         if not 1 <= value <= n:
             raise tok.error(f"index {value} outside the ground set 1..{n}")
-        indices.append(value)
+        mask |= 1 << (value - 1)
         tok.i += 1
         if not tok.accept(","):
-            return frozenset(indices)
+            return mask
 
 
-def _parse_block(tok: _Tokens, n: int) -> IndexSet:
+def _parse_block(tok: _Tokens, n: int) -> int:
     if not tok.accept("{"):
         return _parse_indices(tok, n)
     tok.expect("}")
-    return frozenset()
+    return 0
 
 
 def parse_cmi(text: str, n: int) -> Cmi:
@@ -102,33 +102,24 @@ def parse_cmi(text: str, n: int) -> Cmi:
     tok = _Tokens(text)
     tok.expect("I")
     tok.expect("(")
-    blocks: list[IndexSet] = []
-    cond: IndexSet = frozenset()
+    blocks: list[int] = []
     if tok.peek() not in ("|", ")"):
         blocks.append(_parse_block(tok, n))
         while tok.accept(";"):
             blocks.append(_parse_block(tok, n))
-    if tok.accept("|"):
-        cond = _parse_indices(tok, n)
+    cond = _parse_indices(tok, n) if tok.accept("|") else 0
     tok.expect(")")
     if tok.peek():
         raise tok.error("unexpected text after statement")
-    return Cmi(n, cond, tuple(blocks))
-
-
-def _render_block(block: IndexSet) -> str:
-    return ",".join(str(i) for i in sorted(block)) if block else "{}"
+    return Cmi._from_masks(n, cond, blocks)
 
 
 def render_cmi(k: Cmi) -> str:
     """Canonical statement text: blocks sorted, indices ascending, single spacing."""
-    blocks = " ; ".join(_render_block(b) for b in k.sorted_blocks())
-    if k.cond:
-        cond = ",".join(str(i) for i in sorted(k.cond))
-        inner = f"{blocks} | {cond}" if blocks else f"| {cond}"
-    else:
-        inner = blocks
-    return f"I({inner})"
+    blocks = " ; ".join(",".join(map(str, _indices(b))) or "{}" for b in sorted(k._blocks, key=_mask_key))
+    if k._cond:
+        blocks += (" | " if blocks else "| ") + ",".join(map(str, _indices(k._cond)))
+    return f"I({blocks})"
 
 
 _WORD = re.compile(r"\S+")

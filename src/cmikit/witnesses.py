@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import index
 
 from .distributions import JointDistribution, is_valid
 from .statements import COPY2, COPY3, HOLDS, SINGLE, XOR
@@ -48,7 +49,7 @@ def template_distribution(n: int, template: str, pivots: tuple[int, ...]) -> Joi
     if len(set(pivots)) != len(pivots):
         raise ValueError(f"pivot indices must be distinct, got {pivots}")
     for m in pivots:
-        if not 1 <= m <= n:
+        if not 1 <= index(m) <= n:
             raise ValueError(f"pivot index {m} outside the ground set 1..{n}")
     weights: dict[tuple[int, ...], int] = {}
     if template == XOR:

@@ -314,3 +314,38 @@ def test_render_distribution_is_byte_identical_for_mixed_denominators():
         "1 0 : 1/6\n"
         "1 2 : 1/4\n"
     )
+
+
+# int() would truncate each bad value to 1, a valid size, symbol and index.
+@pytest.mark.parametrize("bad", [1.9, "1", Fraction(3, 2)], ids=["float", "str", "Fraction"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda x: JointDistribution([2, x], {(0, 0): 1}), id="sizes"),
+        pytest.param(lambda x: JointDistribution([2, 2], {(x, 0): 1}), id="symbols"),
+        pytest.param(lambda x: COPY2.marginal([x]), id="marginal"),
+        pytest.param(lambda x: entropy(COPY2, [x]), id="entropy"),
+        pytest.param(lambda x: cond_entropy(COPY2, [1], [x]), id="cond-entropy"),
+        pytest.param(lambda x: random_distribution(2, [2, x], 0), id="random-sizes"),
+    ],
+)
+def test_non_integral_sizes_symbols_and_indices_raise_type_error(build, bad):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build(bad)
+
+
+def test_j_value_sums_its_terms_in_written_block_order():
+    # Float addition does not associate: on some of these statements another
+    # order of the same terms changes the last bits.
+    rng = random.Random(7)
+    for seed in range(300):
+        n = rng.randint(3, 6)
+        p = random_distribution(n, [rng.randint(2, 3) for _ in range(n)], seed, rng.choice((3, 7, 64)))
+        k = random_cmi(rng, n, 5)
+        if len(k.blocks) < 2:
+            continue
+        ref_h = lambda s: reference_entropy(p, s | k.cond) - reference_entropy(p, k.cond)
+        expected = -ref_h(frozenset().union(*k.blocks))
+        for block in k.blocks:
+            expected += ref_h(block)
+        assert j_value(p, k).hex() == (expected + 0.0).hex()

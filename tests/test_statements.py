@@ -1,5 +1,7 @@
 """Frozen examples for the statement algebra: normal forms, implication, transforms."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -453,3 +455,40 @@ def test_as_cmi_matches_the_public_constructor_up_to_n64(pair):
     k, k2 = pair
     for c in (canonicalize(k), canonicalize(k2), canonicalize(residual(k, k2))):
         check_as_cmi(c)
+
+
+def test_repr_depends_only_on_the_value():
+    # A frozenset's repr lists members in table order, which depends on the
+    # order they were inserted in; 35 and 3 share a slot of a small table.
+    import pickle
+
+    from cmikit import parse_cmi
+
+    values = [parse_cmi("I(35,3 ; 40)", 64), Cmi(64, [], ([35, 3], [40])), Cmi(64, [], ([3, 35], [40]))]
+    values += [pickle.loads(pickle.dumps(v)) for v in values]
+    assert len(set(values)) == 1 and len({repr(v) for v in values}) == 1
+
+
+# int() would truncate each bad value to 1, a valid index everywhere below.
+@pytest.mark.parametrize("bad", [1.9, "1", Fraction(3, 2)], ids=["float", "str", "Fraction"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda x: Cmi(3, [x], ([2], [3])), id="cmi-cond"),
+        pytest.param(lambda x: Cmi(3, [], ([x], [2])), id="cmi-block"),
+        pytest.param(lambda x: implies(Cmi(3, [], ([x], [2])), Cmi(3, [], ([1], [2]))), id="implies"),
+        pytest.param(lambda x: CanonicalCmi(3, [x], [], ([2], [3])), id="canonical-cond"),
+        pytest.param(lambda x: CanonicalCmi(3, [], [], ([x], [2, 3])), id="canonical-part"),
+        pytest.param(lambda x: weaken(Cmi(3, [], ([1, 2], [3])), [[x], [3]], [[1], [2]]), id="weaken-sub-block"),
+        pytest.param(lambda x: weaken(Cmi(3, [], ([1, 2], [3])), [[2], [3]], [[x], [2]]), id="weaken-grouping"),
+        pytest.param(lambda x: weaken(Cmi(3, [], ([1, 2], [3])), [[2], [3]], [[1], [2]], [x]), id="weaken-extra-cond"),
+    ],
+)
+def test_non_integral_indices_raise_type_error(build, bad):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build(bad)
+
+
+def test_bool_indices_are_still_integers():
+    assert Cmi(3, [True], ([2], [3])) == Cmi(3, [1], ([2], [3]))
+    assert CanonicalCmi(3, [], [True], ()) == CanonicalCmi(3, [], [1], ())

@@ -317,3 +317,9 @@ def test_threads_share_one_memoised_template_safely():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+@pytest.mark.parametrize("bad", [1.9, "1", Fraction(3, 2)], ids=["float", "str", "Fraction"])
+def test_non_integral_pivots_raise_type_error(bad):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        template_distribution(3, "COPY2", (2, bad))
