@@ -5,88 +5,57 @@ The package has four layers: symbolic statements and their normal forms
 oracle (:mod:`cmikit.distributions`), counterexample construction
 (:mod:`cmikit.witnesses`), and text formats plus a CLI
 (:mod:`cmikit.textio`, :mod:`cmikit.cli`).
+
+The public names below are imported from their modules on first access
+(PEP 562), so importing the package, or only the CLI, loads no layer that
+the caller does not use.
 """
 
-from .distributions import (
-    Assignment,
-    JointDistribution,
-    Rational,
-    TOLERANCE,
-    cond_entropy,
-    cond_mutual_info,
-    entropy,
-    is_valid,
-    j_value,
-    random_distribution,
-)
-from .statements import (
-    Cmi,
-    CanonicalCmi,
-    IndexSet,
-    MAX_GROUND_SET,
-    block_key,
-    canonicalize,
-    decompose_to_cis,
-    enumerate_canonical,
-    equivalent,
-    implies,
-    is_degenerate,
-    is_pure,
-    is_sub_cmi,
-    pure_form,
-    repeated_indices,
-    residual,
-    set_implies,
-    weaken,
-)
-from .textio import ParseError, parse_cmi, parse_distribution, render_cmi, render_distribution
-from .witnesses import (
-    TEMPLATES,
-    Witness,
-    template_distribution,
-    witness_non_equivalence,
-    witness_non_implication,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "CanonicalCmi",
-    "Cmi",
-    "IndexSet",
-    "JointDistribution",
-    "MAX_GROUND_SET",
-    "ParseError",
-    "Rational",
-    "TEMPLATES",
-    "TOLERANCE",
-    "Witness",
-    "block_key",
-    "canonicalize",
-    "cond_entropy",
-    "cond_mutual_info",
-    "decompose_to_cis",
-    "entropy",
-    "enumerate_canonical",
-    "equivalent",
-    "implies",
-    "is_degenerate",
-    "is_pure",
-    "is_sub_cmi",
-    "is_valid",
-    "j_value",
-    "parse_cmi",
-    "parse_distribution",
-    "pure_form",
-    "random_distribution",
-    "render_cmi",
-    "render_distribution",
-    "repeated_indices",
-    "residual",
-    "set_implies",
-    "template_distribution",
-    "weaken",
-    "witness_non_equivalence",
-    "witness_non_implication",
-]
+# Each public name and the module that defines it.
+_HOME = {
+    **dict.fromkeys(
+        (
+            "Assignment", "JointDistribution", "Rational", "TOLERANCE", "cond_entropy",
+            "cond_mutual_info", "entropy", "is_valid", "j_value", "random_distribution",
+        ),
+        "distributions",
+    ),
+    **dict.fromkeys(
+        (
+            "Cmi", "CanonicalCmi", "IndexSet", "MAX_GROUND_SET", "block_key", "canonicalize",
+            "decompose_to_cis", "enumerate_canonical", "equivalent", "implies", "is_degenerate",
+            "is_pure", "is_sub_cmi", "pure_form", "repeated_indices", "residual", "set_implies",
+            "weaken",
+        ),
+        "statements",
+    ),
+    **dict.fromkeys(
+        ("ParseError", "parse_cmi", "parse_distribution", "render_cmi", "render_distribution"),
+        "textio",
+    ),
+    **dict.fromkeys(
+        (
+            "TEMPLATES", "Witness", "template_distribution", "witness_non_equivalence",
+            "witness_non_implication",
+        ),
+        "witnesses",
+    ),
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,21 +12,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
-from .distributions import (
-    RANDOM_MAX_N,
-    TOLERANCE,
-    JointDistribution,
-    cond_entropy,
-    is_valid,
-    j_value,
-    random_distribution,
-    require_matching_arity,
-)
 from .statements import Cmi, canonicalize, decompose_to_cis, equivalent, implies
 from .textio import parse_cmi, parse_distribution, render_cmi, render_distribution
-from .witnesses import Witness, witness_non_implication, witness_non_equivalence
+
+# The distribution and witness layers are imported by the handlers that use
+# them (annotations name them by module), so `canon`, `decompose` and a "yes"
+# without --verify never load them.
 
 
 def _color_enabled() -> bool:
@@ -43,7 +36,7 @@ def _canonical_text(k: Cmi) -> str:
     return render_cmi(canonicalize(k).as_cmi())
 
 
-def _emit_witness(w: Witness, out: str | None) -> dict:
+def _emit_witness(w: witnesses.Witness, out: str | None) -> dict:
     """Write the witness file if requested; return its JSON description."""
     premise, conclusion = (render_cmi(s) for s in w.direction)
     text = (
@@ -85,6 +78,8 @@ def _verify(
     Validity depends only on the variables a statement mentions, so the samples
     range over those alone, relabelled ``1..m``.
     """
+    from .distributions import RANDOM_MAX_N, is_valid, random_distribution
+
     agree, failure = demand
     mentioned = sorted(set().union(*(k.cond.union(*k.blocks) for k in statements)))
     m = len(mentioned)
@@ -141,25 +136,26 @@ def cmd_canon(args: argparse.Namespace) -> int:
 
 # Per decide command: the test, its verdicts (yes, no), the separating witness
 # for a "no", and what --verify demands of a "yes" (`witness` has no --verify).
-# The lambdas look the functions up in this module when the command runs, so a
-# rebinding of, say, ``cli.implies`` is the one that decides.
+# The tests are looked up in this module, and the witness builders (named)
+# in ``witnesses``, when the command runs, so a rebinding of, say,
+# ``cli.implies`` is the one that decides.
 _DECIDE = {
     "equiv": (
         lambda k, k2: equivalent(k, k2),
         ("EQUIVALENT", "NOT EQUIVALENT"),
-        lambda k, k2: witness_non_equivalence(k, k2),
+        "witness_non_equivalence",
         _EQUIVALENT,
     ),
     "implies": (
         lambda k, k2: implies(k, k2),
         ("IMPLIES", "DOES NOT IMPLY"),
-        lambda k, k2: witness_non_implication(k, k2),
+        "witness_non_implication",
         _ENTAILED,
     ),
     "witness": (
         lambda k, k2: implies(k, k2),
         ("IMPLIES", "DOES NOT IMPLY"),
-        lambda k, k2: witness_non_implication(k, k2),
+        "witness_non_implication",
         None,
     ),
 }
@@ -179,7 +175,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
     verdict = verdicts[0] if answer else verdicts[1]
     witness_payload = None
     if not answer:
-        witness_payload = _emit_witness(separate(k, k2), args.out)
+        from . import witnesses
+
+        witness_payload = _emit_witness(getattr(witnesses, separate)(k, k2), args.out)
     elif demand is not None and args.verify:
         _verify(args, [k, k2], demand)
     if args.json:
@@ -195,6 +193,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .distributions import TOLERANCE, is_valid, j_value
+
     k = parse_cmi(args.statement, args.n)
     with open(args.dist) as fh:
         p = parse_distribution(fh.read())
@@ -213,7 +213,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if answer else 1
 
 
-def _measure(p: JointDistribution, k: Cmi) -> tuple[str, float]:
+def _measure(p: distributions.JointDistribution, k: Cmi) -> tuple[str, float]:
+    from .distributions import cond_entropy, j_value, require_matching_arity
+
     require_matching_arity(p, k)
     if len(k.blocks) <= 1:
         label = "H" + render_cmi(k)[1:]

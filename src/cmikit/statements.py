@@ -18,9 +18,9 @@ whether none fails.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from operator import index
-from typing import Iterable, Iterator, Sequence
 
 IndexSet = frozenset[int]
 
@@ -138,9 +138,6 @@ class Cmi(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.n, self._cond, self._blocks))
-
-    def sorted_blocks(self) -> tuple[IndexSet, ...]:
-        return tuple(map(_view, sorted(self._blocks, key=_mask_key)))
 
 
 class CanonicalCmi(_Frozen):

@@ -16,9 +16,7 @@ which the parser rejects).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .distributions import JointDistribution, _common_denominator
 from .statements import MAX_GROUND_SET, Cmi, _indices, _mask_key
 
 
@@ -133,6 +131,11 @@ def parse_distribution(text: str) -> JointDistribution:
     Explicit zero rows are allowed; duplicate rows, symbols outside their
     alphabet, malformed probabilities and total mass != 1 are errors.
     """
+    # Imported here, so that statement-only callers never load the distribution layer.
+    from fractions import Fraction
+
+    from .distributions import JointDistribution, _common_denominator
+
     sizes: list[int] | None = None
     rows: dict[tuple[int, ...], tuple[int, int]] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):

@@ -377,6 +377,39 @@ def test_cold_import_loads_no_dataclasses_inspect_or_json():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+# Run under ``python -S`` (see above) after an optional ``cli.main`` call.
+IMPORT_GRAPH = """
+import io, sys, contextlib
+from cmikit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
+heavy = ('cmikit.distributions', 'cmikit.witnesses', 'fractions', 'decimal')
+print(code, [m for m in heavy if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], "None []"),
+        (["canon", "I(1,2 ; 2,3 | 1)", "--n", "3"], "0 []"),
+        (["implies", "I(1 ; 2,3)", "I(1 ; 2)", "--n", "3"], "0 []"),
+        (["decompose", "I(1;2;3|4)", "--n", "4"], "0 []"),
+        (["check", "I(1 ; 2)", "--n", "3", "--dist", "<xor>"],
+         "0 ['cmikit.distributions', 'fractions', 'decimal']"),
+        (["implies", "I(1 ; 2)", "I(1 ; 2 | 3)", "--n", "3"],
+         "1 ['cmikit.distributions', 'cmikit.witnesses', 'fractions', 'decimal']"),
+    ],
+)
+def test_commands_load_the_distribution_and_witness_layers_only_when_used(xor_file, argv, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_GRAPH, *(a.replace("<xor>", xor_file) for a in argv)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, loaded + "\n", "")
+
+
 def test_check_golden_output(capsys, xor_file):
     code, out, _ = run(capsys, "check", "I(1 ; 2)", "--n", "3", "--dist", xor_file, "--verify")
     assert code == 0

@@ -51,6 +51,7 @@ def test_oracle_crosscheck_finds_no_mismatch(capsys):
         ("oracle_crosscheck", ["--max-n", "9"], "choose from 1, 2, 3, 4, 5, 6, 7, 8)"),
         ("oracle_crosscheck", ["--trials", "0"], "argument --trials: must be at least 1, got 0"),
         ("oracle_crosscheck", ["--trials", "-5"], "argument --trials: must be at least 1, got -5"),
+        ("cold_cli", ["src", "src", "--reps", "0"], "argument --reps: must be at least 1, got 0"),
     ],
 )
 def test_out_of_range_flags_exit_2(capsys, script, argv, message):
@@ -69,3 +70,16 @@ def test_cli_sweep_covers_every_subcommand_and_exit_code(capsys):
     assert all(len(digest) == 64 for _, digest, _ in rows)
     commands = {label.split()[0] for _, _, label in rows if label}
     assert {"canon", "equiv", "implies", "witness", "check", "entropy", "decompose"} <= commands
+
+
+def test_cold_cli_pairs_every_call_kind_under_two_trees(capsys):
+    src = str(SCRIPTS.parent / "src")
+    assert load("cold_cli").main([src, src, "--reps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "median child CPU of 1 cold call(s) per kind and tree, ms",
+        f"{'kind':<22} {'old':>8} {'new':>8} {'paired':>8}",
+    ]
+    kinds = [line[:22].rstrip() for line in lines[2:]]
+    assert kinds == [kind for kind, _, _ in load("cold_cli").CALLS]
+    assert all(float(line.split()[-3]) > 0 for line in lines[2:])

@@ -48,6 +48,7 @@ def test_parse_cmi_error_positions():
         ("I(1,9 | 2)", 5, 1, 5, "outside the ground set"),
         ("I(1 ;; 2)", 5, 1, 6, "expected a variable index"),
         ("I(1 | 2) x", 5, 1, 10, "after statement"),
+        ("I(1;2);", 3, 1, 7, "after statement"),
         ("I(1 ; \n 2,77 )", 9, 2, 4, "outside the ground set"),
         ("I(1", 5, 1, 4, "expected ')'"),
         ("I(1,)", 5, 1, 5, "expected a variable index"),
