@@ -102,7 +102,7 @@ class JointDistribution:
     denominator; ``pmf`` maps each support point to its ``Fraction``.
     """
 
-    __slots__ = ("n", "alphabet_sizes", "pmf", "_weights", "_denominator", "_counts")
+    __slots__ = ("n", "alphabet_sizes", "pmf", "_weights", "_denominator", "_counts", "_live")
 
     def __init__(
         self,
@@ -159,6 +159,14 @@ class JointDistribution:
         self._denominator = denominator
         # Marginal counts by variable mask (index i is bit i - 1).
         self._counts: dict[int, dict[Assignment, int]] = {(1 << self.n) - 1: weights}
+        # The variables with two or more values on the support; each scan stops at a change.
+        live, first = 0, next(iter(weights))
+        for i, s in enumerate(first):
+            for outcome in weights:
+                if outcome[i] != s:
+                    live |= 1 << i
+                    break
+        self._live = live
 
     def _mask(self, indices: Iterable[int]) -> int:
         return _mask_of(sorted(map(index, indices)), self.n, "variable index")
@@ -277,18 +285,24 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     are equal only when the support fills the product of the block supports,
     so every combination outside the support has both sides zero; for the
     doubled R that means R takes one value per class.
+
+    Variables constant on the support are first erased from C, R and every
+    part: a constant is a function of any condition, so no count changes, and
+    a block it empties contributes a factor ``c(y)`` that cancels one power of
+    ``c(y)``, so it is dropped; at most one block left holds trivially.  A
+    witness template's check thus reads only marginals of its 1-3 pivots.
     """
     require_matching_arity(p, k)
-    c = canonicalize(k)
-    if c.degenerate:
+    c, live = canonicalize(k), p._live  # the degenerate form's masks are all empty
+    cond, rep = c._cond & live, c._rep & live
+    parts = [q & live for q in c._parts if q & live]
+    blocks = [rep, rep, *parts] if rep else parts
+    if len(blocks) <= 1:
         return True
-    blocks = [c._rep, c._rep, *c._parts] if c._rep else c._parts
-    joint_mask = c._cond | c._rep | sum(c._parts)  # the parts are disjoint
-    cond_of = _projector(joint_mask, c._cond)
-    scale = {y: cy ** (len(blocks) - 1) for y, cy in p._marginal_counts(c._cond).items()}
-    lookups = [
-        (_projector(joint_mask, c._cond | b), p._marginal_counts(c._cond | b)) for b in blocks
-    ]
+    joint_mask = cond | rep | sum(parts)  # the parts are disjoint
+    cond_of = _projector(joint_mask, cond)
+    scale = {y: cy ** (len(blocks) - 1) for y, cy in p._marginal_counts(cond).items()}
+    lookups = [(_projector(joint_mask, cond | b), p._marginal_counts(cond | b)) for b in blocks]
     for outcome, czy in p._marginal_counts(joint_mask).items():
         rhs = 1
         for block_of, counts in lookups:

@@ -6,9 +6,10 @@ variables (every other variable pinned to 0).  There is no separate planner:
 the implication test's clause function names the first failing clause, the
 template and its pivots.  The planned distribution is checked against the
 exact validity oracle on both statements before it is returned, and a plan
-that fails that check is an internal error.  Template distributions are
-memoised, so one object and its cached marginals serve every pair that plans
-the same template at the same pivots.
+that fails that check is an internal error.  That check erases the constant
+variables, so it costs what the 1-3 pivots cost, whatever the ground set.
+Template distributions are memoised, so one object and its cached marginals
+serve every pair that plans the same template at the same pivots.
 """
 
 from __future__ import annotations

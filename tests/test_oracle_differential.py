@@ -158,6 +158,73 @@ def test_is_valid_matches_brute_force_under_an_empty_or_constant_condition(case)
     assert_agree(p, k)
 
 
+# --- variables that are constant on the support ---------------------------------
+
+
+@st.composite
+def constant_variable_cases(draw):
+    """A sixths pmf widened by 1-3 constant variables, and a statement that puts
+    each constant in the condition, in a block of its own, in one other block,
+    in two blocks (so in the repeated set) or nowhere.  A constant has alphabet
+    size 1-3 and may sit at any of its symbols."""
+    p = draw(sixths_pmfs())
+    width = draw(st.integers(1, 3))
+    n = p.n + width
+    at = draw(st.lists(st.integers(0, n - 1), min_size=width, max_size=width, unique=True))
+    sizes = [draw(st.integers(1, 3)) if j in at else None for j in range(n)]
+    values = {j: draw(st.integers(0, sizes[j] - 1)) for j in at}
+    others = [j for j in range(n) if j not in at]
+    for old, j in enumerate(others):
+        sizes[j] = p.alphabet_sizes[old]
+
+    def widen(o):
+        row = [values.get(j) for j in range(n)]
+        for old, j in enumerate(others):
+            row[j] = o[old]
+        return tuple(row)
+
+    wide = JointDistribution(sizes, {widen(o): q for o, q in p.pmf.items()})
+    k = draw(statements(p.n))
+    cond = {others[i - 1] + 1 for i in k.cond}
+    blocks = [{others[i - 1] + 1 for i in b} for b in k.blocks]
+    for j in at:
+        role = draw(st.sampled_from(("condition", "own block", "one block", "two blocks", "nowhere")))
+        if role == "condition":
+            cond.add(j + 1)
+        elif role == "own block":
+            blocks.append({j + 1})
+        elif role == "one block":
+            blocks[draw(st.integers(0, len(blocks) - 1))].add(j + 1)
+        elif role == "two blocks":
+            for b in draw(st.lists(st.sampled_from(blocks), min_size=2, max_size=2, unique_by=id)):
+                b.add(j + 1)
+    return wide, Cmi(n, cond, tuple(blocks))
+
+
+@settings(max_examples=400, deadline=None)
+@given(constant_variable_cases())
+def test_is_valid_matches_brute_force_with_constant_variables_anywhere(case):
+    assert_agree(*case)
+
+
+def test_is_valid_matches_brute_force_on_wide_templates():
+    # Statements mention at most 8 of up to 64 indices, the pivots among them.
+    rng = random.Random(20261019)
+    verdicts = Counter()
+    for n in (8, 16, 64):
+        for template, arity in (("SINGLE", 1), ("COPY2", 2), ("COPY3", 3), ("XOR", 3)):
+            for _ in range(10):
+                pivots = tuple(rng.sample(range(1, n + 1), arity))
+                p = template_distribution(n, template, pivots)
+                mentioned = [*pivots, *rng.sample([i for i in range(1, n + 1) if i not in pivots], 8 - arity)]
+                for _ in range(4):
+                    pick = lambda chance: {i for i in mentioned if rng.random() < chance}
+                    k = Cmi(n, pick(0.2), tuple(pick(0.4) for _ in range(rng.randint(2, 4))))
+                    assert_agree(p, k)
+                    verdicts[is_valid(p, k)] += 1
+    assert min(verdicts[True], verdicts[False]) >= 100, verdicts
+
+
 def test_hand_built_mixed_denominators_and_zero_rows():
     # X1 uniform and X2 ~ (1/3, 2/3, 0) independent: D = 6, one explicit zero column.
     pmf = {

@@ -15,6 +15,7 @@ from samplers import random_cmi, wide_pairs
 from cmikit import (
     Cmi,
     Witness,
+    entropy,
     implies,
     is_valid,
     template_distribution,
@@ -271,15 +272,21 @@ def test_witness_caches_stay_bounded_up_to_n64(pairs):
 
 def test_long_lived_template_keeps_a_bounded_marginal_cache():
     # Far more distinct marginals than one distribution may keep, all read
-    # from one memoised template over 64 variables.
+    # from one memoised template over 64 variables.  ``is_valid`` reads only
+    # marginals of the 3 pivots, so the entropies of random index sets are
+    # what fill the cache; a template that only ``is_valid`` reads keeps at
+    # most its 2**3 pivot marginals and its full table.
     d = template_distribution(64, "XOR", (1, 32, 64))
+    alone = template_distribution.__wrapped__(64, "XOR", (1, 32, 64))
     rng = random.Random(64)
     sizes = []
     for _ in range(300):
         k = random_cmi(rng, 64)
         fresh = template_distribution.__wrapped__(64, "XOR", (1, 32, 64))
-        assert is_valid(d, k) == is_valid(fresh, k)
+        assert is_valid(d, k) == is_valid(fresh, k) == is_valid(alone, k)
+        entropy(d, {i for i in range(1, 65) if rng.random() < 0.5})
         sizes.append(len(d._counts))
+        assert len(alone._counts) <= 2**3 + 1
     assert max(sizes) <= MARGINAL_CACHE_SIZE
     assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it dropped back at least once
     # More distinct keys than the template cache holds: it stays at its size.
@@ -292,6 +299,8 @@ def test_long_lived_template_keeps_a_bounded_marginal_cache():
 def test_threads_share_one_memoised_template_safely():
     # Every thread reads marginals of the same cached distribution over 64
     # variables, so most reads add a table while others search the cache.
+    # ``is_valid`` reads only the pivots' few marginals, so each thread also
+    # reads marginals of random index sets.
     d = template_distribution(64, "COPY3", (2, 33, 63))
     errors = []
 
@@ -302,6 +311,9 @@ def test_threads_share_one_memoised_template_safely():
                 k = random_cmi(rng, 64)
                 fresh = template_distribution.__wrapped__(64, "COPY3", (2, 33, 63))
                 assert is_valid(d, k) == is_valid(fresh, k)
+                for _ in range(2):
+                    s = {i for i in range(1, 65) if rng.random() < 0.5}
+                    assert d.marginal(s) == fresh.marginal(s)
         except Exception as exc:  # reported below, with the thread's seed
             errors.append((seed, repr(exc)))
 
