@@ -39,6 +39,11 @@ FILES = {
     "symbol.txt": "vars: X1:2 X2:2\n0 2 : 1/1\n",
     "long.txt": f"vars: X1:2 X2:2\n0 0 : 1/1\n1 {LONG} : 0/1\n",
     "longsize.txt": f"vars: X1:{LONG} X2:2\n0 0 : 1/1\n",
+    # Alphabet sizes 1, 3 and 5: fields that are not a power of two wide.
+    "mixed.txt": (
+        "vars: A:1 B:3 C:5 D:3\n0 0 0 0 : 1/6\n0 1 4 1 : 1/6\n0 2 3 2 : 1/6\n"
+        "0 0 4 1 : 1/12\n0 1 0 0 : 1/12\n0 2 2 2 : 1/3\n"
+    ),
 }
 
 # The invocations; ``<tmp>`` stands for the temporary directory.
@@ -125,6 +130,14 @@ CASES = [
     ["implies", "I(1)", "--n", "3"],
     ["canon", "I(1)"],
     ["bogus"],
+    # non-power-of-two alphabets
+    ["check", "I(1 ; 2,3,4)", "--n", "4", "--dist", "<tmp>/mixed.txt"],
+    ["check", "I(2 ; 4 | 3)", "--n", "4", "--dist", "<tmp>/mixed.txt"],
+    ["check", "I(2 ; 3)", "--n", "4", "--dist", "<tmp>/mixed.txt"],
+    ["check", "I(2 ; 3 | 4)", "--n", "4", "--dist", "<tmp>/mixed.txt", "--json"],
+    ["check", "I(1 ; 2 ; 4 | 3)", "--n", "4", "--dist", "<tmp>/mixed.txt", "--json"],
+    ["entropy", "I(1)", "I(3)", "I(2;3)", "I(2;4|3)", "I(1,2;3,4)", "--n", "4", "--dist", "<tmp>/mixed.txt"],
+    ["entropy", "I(2;3;4)", "I(3,4|2)", "--n", "4", "--dist", "<tmp>/mixed.txt", "--json"],
 ]
 
 

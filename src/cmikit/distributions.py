@@ -3,21 +3,24 @@
 A distribution is stored as integer weights over a common denominator: the
 lcm ``D`` of its reduced probability denominators, so every marginal is a
 table of integer counts and validity of a statement on a distribution is
-decided by exact integer identities (no thresholds).  ``pmf`` and
-``marginal`` present the same probabilities as ``fractions.Fraction`` values.
-Entropies are reported as floats in bits; they are only used for diagnostics
-and cross-checks, never inside the validity decision.
+decided by exact integer identities (no thresholds).  Each support point is
+one packed ``int``: variable ``i`` holds its symbol in bits ``[W*(i-1), W*i)``,
+the field width ``W`` being the bit length of the largest symbol (at least 1).
+A marginal on a variable mask keys its counts by ``code & F(mask)``, ``F``
+giving the mask's fields, so projecting a point is one ``&``.  ``pmf`` and
+``marginal`` decode to tuples and present the probabilities as ``Fraction``
+values.  Entropies are reported as floats in bits; they are only used for
+diagnostics and cross-checks, never inside the validity decision.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import index, itemgetter, or_
+from operator import and_, index, or_
 
 from .statements import Cmi, _indices, _mask_of, canonicalize
 
@@ -28,14 +31,6 @@ Assignment = tuple[int, ...]
 TOLERANCE = 1e-9
 
 
-#: Projectors kept by ``_projector``, sized for the census of canonical classes
-#: over 5 variables: all 3**5 = 243 (source, target) pairs fit, 99.7% of a
-#: census pass's calls hit, and the pass's op time falls by about a quarter.
-#: Over the 8 variables of planted oracle distributions only 30% hit (43% at
-#: 1,024 entries); a build costs about 2.7 us and a hit 0.2 us, so there the
-#: cache saves under 1% of op time at either size.
-PROJECTOR_CACHE_SIZE = 256
-
 #: Marginal tables one distribution keeps, its full pmf included.  All 2**8
 #: marginals of a distribution over up to 8 variables fit (a planted oracle
 #: distribution holds 58-103 after its 24 queries), so only wider ones ever
@@ -44,47 +39,67 @@ PROJECTOR_CACHE_SIZE = 256
 MARGINAL_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=PROJECTOR_CACHE_SIZE)
-def _projector(src: int, dst: int) -> Callable[[Assignment], Assignment]:
-    """Restrict an assignment over the variables of mask ``src`` to those of its submask
-    ``dst``; assignments list their variables in increasing index order."""
-    members = _indices(src)
-    pos = [members.index(i) for i in _indices(dst)]
-    if len(pos) >= 2:
-        return itemgetter(*pos)
-    if pos:
-        j = pos[0]
-        return lambda outcome: (outcome[j],)
-    return lambda outcome: ()
+def _width(sizes: Sequence[int]) -> int:
+    """Bits per variable in a packed outcome: the bit length of the largest symbol, at least 1."""
+    return (max(sizes) - 1 if sizes else 0).bit_length() or 1
 
 
-def _common_denominator(
-    rows: Iterable[tuple[Assignment, int, int]],
-) -> tuple[dict[Assignment, int], int]:
-    """Integer weights of ``(outcome, numerator, denominator)`` rows over the lcm of
-    their denominators.  Zero rows are dropped; repeated outcomes add up."""
+def _pack(outcome: Assignment, sizes: tuple[int, ...], width: int) -> int:
+    """Pack an outcome, rejecting a wrong arity or a symbol that would spill into the next field."""
+    if len(outcome) != len(sizes):
+        raise ValueError(f"outcome {outcome} has arity {len(outcome)}, expected {len(sizes)}")
+    for i, (s, size) in enumerate(zip(outcome, sizes)):
+        if not 0 <= s < size:
+            raise ValueError(f"symbol {s} of variable {i + 1} outside its alphabet 0..{size - 1}")
+    return sum(s << width * i for i, s in enumerate(outcome))
+
+
+@lru_cache(maxsize=1024)
+def _fields(mask: int, width: int) -> int:
+    """Bits of a packed outcome that ``mask``'s variables hold; all 2**8 masks fit at 4 widths."""
+    return sum(((1 << width) - 1) << width * (i - 1) for i in _indices(mask))
+
+
+def _unpack(codes: Iterable[int], width: int, mask: int) -> Iterator[Assignment]:
+    """Symbol tuples of packed outcomes over the variables of ``mask``, in index order."""
+    ones, shifts = (1 << width) - 1, [width * (i - 1) for i in _indices(mask)]
+    for code in codes:
+        yield tuple([code >> s & ones for s in shifts])
+
+
+def _common_denominator(rows: Iterable[tuple[int, int, int]]) -> tuple[dict[int, int], int]:
+    """Integer weights of ``(code, numerator, denominator)`` rows over the lcm of
+    their denominators.  Zero rows are dropped; repeated codes add up."""
     rows = [row for row in rows if row[1]]
     denominator = math.lcm(*(den for _, _, den in rows))
-    weights: dict[Assignment, int] = {}
-    for outcome, num, den in rows:
-        weights[outcome] = weights.get(outcome, 0) + num * (denominator // den)
+    weights: dict[int, int] = {}
+    for code, num, den in rows:
+        weights[code] = weights.get(code, 0) + num * (denominator // den)
     return weights, denominator
 
 
 class _PmfView(Mapping):
-    """Read-only ``Fraction`` view of integer weights over a common denominator."""
+    """Read-only ``Fraction`` view, keyed by outcome tuples, of code-keyed integer weights
+    over a common denominator.  It packs and unpacks codes itself: no reference back."""
 
-    __slots__ = ("_weights", "_denominator")
+    __slots__ = ("_weights", "_denominator", "_sizes", "_width")
 
-    def __init__(self, weights: dict[Assignment, int], denominator: int) -> None:
+    def __init__(self, weights: dict[int, int], denominator: int, sizes: tuple[int, ...], width: int) -> None:
         self._weights = weights
         self._denominator = denominator
+        self._sizes = sizes
+        self._width = width
 
     def __getitem__(self, outcome: Assignment) -> Fraction:
-        return Fraction(self._weights[outcome], self._denominator)
+        try:  # a non-tuple, a wrong arity or a bad symbol is no key
+            if isinstance(outcome, tuple):
+                return Fraction(self._weights[_pack(outcome, self._sizes, self._width)], self._denominator)
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise KeyError(outcome)
 
     def __iter__(self) -> Iterator[Assignment]:
-        return iter(self._weights)
+        return _unpack(self._weights, self._width, (1 << len(self._sizes)) - 1)
 
     def __len__(self) -> int:
         return len(self._weights)
@@ -99,45 +114,35 @@ class JointDistribution:
     Outcomes are tuples ``(s_1, ..., s_n)`` with ``0 <= s_i < alphabet_sizes[i]``.
     Zero-probability outcomes are dropped; total mass must be exactly 1.  The
     probabilities are held as positive integer weights over the least common
-    denominator; ``pmf`` maps each support point to its ``Fraction``.
+    denominator, keyed by packed outcome codes; ``pmf`` maps each support
+    point to its ``Fraction``.
     """
 
-    __slots__ = ("n", "alphabet_sizes", "pmf", "_weights", "_denominator", "_counts", "_live")
+    __slots__ = ("n", "alphabet_sizes", "pmf", "_weights", "_denominator", "_width", "_counts", "_live")
 
-    def __init__(
-        self,
-        alphabet_sizes: Sequence[int],
-        pmf: Mapping[Assignment, Rational],
-    ) -> None:
+    def __init__(self, alphabet_sizes: Sequence[int], pmf: Mapping[Assignment, Rational]) -> None:
         sizes = tuple(map(index, alphabet_sizes))
         for s in sizes:
             if s < 1:
                 raise ValueError(f"alphabet sizes must be >= 1, got {s}")
-        n = len(sizes)
-        rows: list[tuple[Assignment, int, int]] = []
+        width = _width(sizes)
+        rows: list[tuple[int, int, int]] = []
         for outcome, prob in pmf.items():
             outcome = tuple(map(index, outcome))
-            if len(outcome) != n:
-                raise ValueError(f"outcome {outcome} has arity {len(outcome)}, expected {n}")
-            for i, s in enumerate(outcome):
-                if not 0 <= s < sizes[i]:
-                    raise ValueError(
-                        f"symbol {s} of variable {i + 1} outside its alphabet 0..{sizes[i] - 1}"
-                    )
+            code = _pack(outcome, sizes, width)
             q = Fraction(prob)
             if q.numerator < 0:
                 raise ValueError(f"negative probability {q} for outcome {outcome}")
-            rows.append((outcome, q.numerator, q.denominator))
+            rows.append((code, q.numerator, q.denominator))
         weights, denominator = _common_denominator(rows)
         if sum(weights.values()) != denominator:
             raise ValueError("probabilities must sum to exactly 1")
         self._setup(sizes, weights, denominator)
 
     @classmethod
-    def _from_weights(
-        cls, sizes: tuple[int, ...], weights: dict[Assignment, int], denominator: int
-    ) -> "JointDistribution":
-        """Build from positive integer weights over valid outcomes that sum to ``denominator``.
+    def _from_weights(cls, sizes: tuple[int, ...], weights: dict[int, int], denominator: int) -> JointDistribution:
+        """Build from positive integer weights, keyed by the packed codes of valid
+        outcomes (field width ``_width(sizes)``), that sum to ``denominator``.
 
         The caller guarantees those invariants; the weights need not be in
         lowest terms.
@@ -146,33 +151,30 @@ class JointDistribution:
         self._setup(sizes, weights, denominator)
         return self
 
-    def _setup(self, sizes: tuple[int, ...], weights: dict[Assignment, int], denominator: int) -> None:
+    def _setup(self, sizes: tuple[int, ...], weights: dict[int, int], denominator: int) -> None:
         # Reduce to the least common denominator, so equal pmfs store equal weights.
         g = math.gcd(denominator, *weights.values())
         if g > 1:
-            weights = {outcome: w // g for outcome, w in weights.items()}
+            weights = {code: w // g for code, w in weights.items()}
             denominator //= g
-        self.n = len(sizes)
+        self.n = n = len(sizes)
         self.alphabet_sizes = sizes
-        self.pmf = _PmfView(weights, denominator)
+        self._width = width = _width(sizes)
+        self.pmf = _PmfView(weights, denominator, sizes, width)
         self._weights = weights
         self._denominator = denominator
         # Marginal counts by variable mask (index i is bit i - 1).
-        self._counts: dict[int, dict[Assignment, int]] = {(1 << self.n) - 1: weights}
-        # The variables with two or more values on the support; each scan stops at a change.
-        live, first = 0, next(iter(weights))
-        for i, s in enumerate(first):
-            for outcome in weights:
-                if outcome[i] != s:
-                    live |= 1 << i
-                    break
-        self._live = live
+        self._counts: dict[int, dict[int, int]] = {(1 << n) - 1: weights}
+        # The variables with two or more values on the support: those whose field
+        # holds a bit that is set in some code and clear in another.
+        diff, ones = reduce(or_, weights) ^ reduce(and_, weights), (1 << width) - 1
+        self._live = diff if width == 1 else sum(1 << i for i in range(n) if diff >> width * i & ones)
 
     def _mask(self, indices: Iterable[int]) -> int:
         return _mask_of(sorted(map(index, indices)), self.n, "variable index")
 
-    def _marginal_counts(self, mask: int) -> dict[Assignment, int]:
-        """Integer weights of the marginal on the variables of ``mask`` (cached)."""
+    def _marginal_counts(self, mask: int) -> dict[int, int]:
+        """Integer weights of the marginal on ``mask``, keyed by ``code & _fields(mask, width)`` (cached)."""
         counts = self._counts.get(mask)
         if counts is not None:
             return counts
@@ -181,23 +183,23 @@ class JointDistribution:
         # Sum out of the smallest cached marginal that covers ``mask``; the full pmf,
         # cached first, always qualifies.  Search a copy, made in one C call: another
         # thread may add a table to a shared template's cache, even inside list(d.items()).
-        src_mask, src = (1 << self.n) - 1, self._weights
+        src = self._weights
         for m, c in self._counts.copy().items():
             if len(c) < len(src) and not mask & ~m:
-                src_mask, src = m, c
-        project = _projector(src_mask, mask)
+                src = c
+        f = _fields(mask, self._width)
         counts = {}
-        for outcome, w in src.items():
-            sub = project(outcome)
+        for code, w in src.items():
+            sub = code & f
             counts[sub] = counts.get(sub, 0) + w
         self._counts[mask] = counts
         return counts
 
     def marginal(self, indices: Iterable[int]) -> dict[Assignment, Rational]:
         """Marginal pmf of the 1-based variables ``indices``, keyed by sorted order."""
-        d = self._denominator
-        counts = self._marginal_counts(self._mask(indices))
-        return {outcome: Fraction(c, d) for outcome, c in counts.items()}
+        d, mask = self._denominator, self._mask(indices)
+        counts = self._marginal_counts(mask)
+        return {o: Fraction(c, d) for o, c in zip(_unpack(counts, self._width, mask), counts.values())}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JointDistribution):
@@ -300,14 +302,14 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     if len(blocks) <= 1:
         return True
     joint_mask = cond | rep | sum(parts)  # the parts are disjoint
-    cond_of = _projector(joint_mask, cond)
     scale = {y: cy ** (len(blocks) - 1) for y, cy in p._marginal_counts(cond).items()}
-    lookups = [(_projector(joint_mask, cond | b), p._marginal_counts(cond | b)) for b in blocks]
-    for outcome, czy in p._marginal_counts(joint_mask).items():
+    lookups = [(_fields(cond | b, p._width), p._marginal_counts(cond | b)) for b in blocks]
+    cond_field = _fields(cond, p._width)
+    for code, czy in p._marginal_counts(joint_mask).items():
         rhs = 1
-        for block_of, counts in lookups:
-            rhs *= counts[block_of(outcome)]
-        if czy * scale[cond_of(outcome)] != rhs:
+        for field, counts in lookups:
+            rhs *= counts[code & field]
+        if czy * scale[code & cond_field] != rhs:
             return False
     return True
 
@@ -339,9 +341,11 @@ def random_distribution(
     if mass_grain < 1:
         raise ValueError(f"mass_grain must be >= 1, got {mass_grain}")
     rng = random.Random(seed)
-    outcomes = list(itertools.product(*(range(s) for s in sizes)))
-    counts: dict[Assignment, int] = {}
+    width, codes = _width(sizes), [0]
+    for i, s in enumerate(sizes):  # every outcome's code, in itertools.product order
+        codes = [code | v << width * i for code in codes for v in range(s)]
+    counts: dict[int, int] = {}
     for _ in range(mass_grain):
-        o = rng.choice(outcomes)
+        o = rng.choice(codes)
         counts[o] = counts.get(o, 0) + 1
     return JointDistribution._from_weights(sizes, counts, mass_grain)

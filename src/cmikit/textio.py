@@ -134,10 +134,10 @@ def parse_distribution(text: str) -> JointDistribution:
     # Imported here, so that statement-only callers never load the distribution layer.
     from fractions import Fraction
 
-    from .distributions import JointDistribution, _common_denominator
+    from .distributions import JointDistribution, _common_denominator, _width
 
     sizes: list[int] | None = None
-    rows: dict[tuple[int, ...], tuple[int, int]] = {}
+    rows: dict[int, tuple[int, int]] = {}  # by packed outcome code
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         body = line.lstrip()
@@ -164,6 +164,8 @@ def parse_distribution(text: str) -> JointDistribution:
                 sizes.append(size)
             if not sizes:
                 raise ParseError(lineno, indent + 1, "expected at least one variable declaration")
+            width = _width(sizes)
+            shifts = range(0, width * len(sizes), width)  # variable i packs at bit width * (i - 1)
             continue
         colon = line.rfind(":")
         if colon == -1:
@@ -173,8 +175,8 @@ def parse_distribution(text: str) -> JointDistribution:
             raise ParseError(
                 lineno, indent + 1, f"expected {len(sizes)} symbols, got {len(sym_tokens)}"
             )
-        outcome: list[int] = []
-        for i, (m, size) in enumerate(zip(sym_tokens, sizes), start=1):
+        code = 0
+        for m, size, shift in zip(sym_tokens, sizes, shifts):
             col, word = m.start() + 1, m.group()
             if not word.isdecimal():
                 raise ParseError(lineno, col, f"bad symbol {word!r}; expected an integer")
@@ -184,9 +186,9 @@ def parse_distribution(text: str) -> JointDistribution:
                 raise ParseError(lineno, col, f"number too long ({len(word)} digits)") from None
             if s >= size:
                 raise ParseError(
-                    lineno, col, f"symbol {s} of variable {i} outside its alphabet 0..{size - 1}"
+                    lineno, col, f"symbol {s} of variable {shift // width + 1} outside its alphabet 0..{size - 1}"
                 )
-            outcome.append(s)
+            code |= s << shift
         rat = _WORD.search(line, colon + 1)
         if rat is None:
             raise ParseError(lineno, colon + 2, "missing probability after ':'")
@@ -204,16 +206,16 @@ def parse_distribution(text: str) -> JointDistribution:
             raise ParseError(lineno, rat.start() + 1, f"number too long ({len(den)} digits)") from None
         if den == 0:
             raise ParseError(lineno, rat.start() + 1, "probability denominator is zero")
-        key = tuple(outcome)
-        if key in rows:
-            raise ParseError(lineno, indent + 1, f"duplicate row for outcome {' '.join(map(str, key))}")
+        if code in rows:
+            outcome = " ".join(str(int(m.group())) for m in sym_tokens)
+            raise ParseError(lineno, indent + 1, f"duplicate row for outcome {outcome}")
         try:
-            rows[key] = (int(num), den)
+            rows[code] = (int(num), den)
         except ValueError:  # as for an index
             raise ParseError(lineno, rat.start() + 1, f"number too long ({len(num)} digits)") from None
     if sizes is None:
         raise ParseError(1, 1, "missing 'vars:' header line")
-    weights, denominator = _common_denominator((key, num, den) for key, (num, den) in rows.items())
+    weights, denominator = _common_denominator((code, num, den) for code, (num, den) in rows.items())
     total = sum(weights.values())
     if total != denominator:
         raise ParseError(1, 1, f"probabilities sum to {Fraction(total, denominator)}, expected 1")

@@ -14,7 +14,6 @@ serve every pair that plans the same template at the same pivots.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from operator import index
 
@@ -52,22 +51,16 @@ def template_distribution(n: int, template: str, pivots: tuple[int, ...]) -> Joi
     for m in pivots:
         if not 1 <= index(m) <= n:
             raise ValueError(f"pivot index {m} outside the ground set 1..{n}")
-    weights: dict[tuple[int, ...], int] = {}
+    # Binary alphabets pack one bit per variable: a row's code is the mask of its
+    # 1-valued pivots.  XOR's rows are (u, v, u ^ v) in itertools.product order.
+    bits = [1 << index(m) - 1 for m in pivots]
     if template == XOR:
-        for u, v in itertools.product((0, 1), repeat=2):
-            row = [0] * n
-            row[pivots[0] - 1] = u
-            row[pivots[1] - 1] = v
-            row[pivots[2] - 1] = u ^ v
-            weights[tuple(row)] = 1
+        u, v, parity = bits
+        codes = [0, v | parity, u | parity, u | v]
     else:
-        for u in (0, 1):
-            row = [0] * n
-            for m in pivots:
-                row[m - 1] = u
-            weights[tuple(row)] = 1
+        codes = [0, sum(bits)]
     # Every row weighs the same: a uniform pmf over the rows built above.
-    return JointDistribution._from_weights((2,) * n, weights, len(weights))
+    return JointDistribution._from_weights((2,) * n, dict.fromkeys(codes, 1), len(codes))
 
 
 class Witness(_Frozen):

@@ -14,6 +14,7 @@ from oracle_reference import separating_member
 from samplers import random_cmi, wide_pairs
 from cmikit import (
     Cmi,
+    JointDistribution,
     Witness,
     entropy,
     implies,
@@ -48,6 +49,7 @@ def test_template_distribution_contents():
         (1, 0, 0, 1): Fraction(1, 4),
         (1, 1, 0, 0): Fraction(1, 4),
     }
+    assert xor == JointDistribution((2,) * 4, dict(xor.pmf))  # the same packed codes
 
 
 def test_template_distribution_validates_arguments():
