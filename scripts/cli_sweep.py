@@ -30,6 +30,9 @@ from cmikit.cli import main as cli_main
 
 LONG = "9" * 5000
 
+GRID_HEAD = "vars: X1:2 X2:4 X3:5\n"
+GRID_ROWS = [f"{a} {b} {c} : 1/40\n" for a in range(2) for b in range(4) for c in range(5)]
+
 # Distribution files written into the temporary directory before the sweep.
 FILES = {
     "xor.txt": "vars: X1:2 X2:2 X3:2\n0 0 0 : 1/4\n0 1 1 : 1/4\n1 0 1 : 1/4\n1 1 0 : 1/4\n",
@@ -44,6 +47,22 @@ FILES = {
         "vars: A:1 B:3 C:5 D:3\n0 0 0 0 : 1/6\n0 1 4 1 : 1/6\n0 2 3 2 : 1/6\n"
         "0 0 4 1 : 1/12\n0 1 0 0 : 1/12\n0 2 2 2 : 1/3\n"
     ),
+    # Comments, tab and U+3000 separators, a zero row and Arabic-Indic digits.
+    "spaced.txt": (
+        "# three variables, spelled loosely\n"
+        "vars:\tA:2\u3000B:\u0662 C:3   # one size in Arabic-Indic digits\n"
+        "\n"
+        "\t0\t0 0 : 1/4\n"
+        "0\u30001\u30001 : 1/4   # ideographic spaces\n"
+        "\u0661 \u0660 2 : \u0661/4\n"
+        "1 1 2 : 1/4\n"
+        "1 1 1 : 0/7\n"
+    ),
+    # 40 rows, each 1/40; in the malformed copies the first error is on the last row.
+    "grid.txt": GRID_HEAD + "".join(GRID_ROWS),
+    "lastsym.txt": GRID_HEAD + "".join(GRID_ROWS[:-1]) + "1 3 \u00b2 : 1/40\n",
+    "lastslash.txt": GRID_HEAD + "".join(GRID_ROWS[:-1]) + "1 3 4 : 1/2/3\n",
+    "lastdup.txt": GRID_HEAD + "".join(GRID_ROWS[:-1]) + GRID_ROWS[0],
 }
 
 # The invocations; ``<tmp>`` stands for the temporary directory.
@@ -138,6 +157,17 @@ CASES = [
     ["check", "I(1 ; 2 ; 4 | 3)", "--n", "4", "--dist", "<tmp>/mixed.txt", "--json"],
     ["entropy", "I(1)", "I(3)", "I(2;3)", "I(2;4|3)", "I(1,2;3,4)", "--n", "4", "--dist", "<tmp>/mixed.txt"],
     ["entropy", "I(2;3;4)", "I(3,4|2)", "--n", "4", "--dist", "<tmp>/mixed.txt", "--json"],
+    # loosely spelled and 40-row files
+    ["check", "I(1 ; 3 | 2)", "--n", "3", "--dist", "<tmp>/spaced.txt"],
+    ["check", "I(1 ; 2)", "--n", "3", "--dist", "<tmp>/spaced.txt", "--json"],
+    ["entropy", "I(1)", "I(2;3)", "I(1;2|3)", "I(1,2,3)", "--n", "3", "--dist", "<tmp>/spaced.txt"],
+    ["entropy", "I(1;3|2)", "--n", "3", "--dist", "<tmp>/spaced.txt", "--json"],
+    ["check", "I(1 ; 2 ; 3)", "--n", "3", "--dist", "<tmp>/grid.txt"],
+    ["entropy", "I(1,2,3)", "I(2;3|1)", "--n", "3", "--dist", "<tmp>/grid.txt"],
+    ["check", "I(1 ; 2)", "--n", "3", "--dist", "<tmp>/lastsym.txt"],
+    ["check", "I(1 ; 2)", "--n", "3", "--dist", "<tmp>/lastslash.txt"],
+    ["check", "I(1 ; 2)", "--n", "3", "--dist", "<tmp>/lastdup.txt"],
+    ["entropy", "I(1)", "--n", "3", "--dist", "<tmp>/lastdup.txt"],
 ]
 
 

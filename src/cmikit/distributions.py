@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import and_, index, or_
+from itertools import compress, repeat
+from operator import and_, floordiv, index, mul, or_
 
 from .statements import Cmi, _indices, _mask_of, canonicalize
 
@@ -67,15 +68,11 @@ def _unpack(codes: Iterable[int], width: int, mask: int) -> Iterator[Assignment]
         yield tuple([code >> s & ones for s in shifts])
 
 
-def _common_denominator(rows: Iterable[tuple[int, int, int]]) -> tuple[dict[int, int], int]:
-    """Integer weights of ``(code, numerator, denominator)`` rows over the lcm of
-    their denominators.  Zero rows are dropped; repeated codes add up."""
-    rows = [row for row in rows if row[1]]
-    denominator = math.lcm(*(den for _, _, den in rows))
-    weights: dict[int, int] = {}
-    for code, num, den in rows:
-        weights[code] = weights.get(code, 0) + num * (denominator // den)
-    return weights, denominator
+def _common_denominator(codes: list[int], nums: list[int], dens: list[int]) -> tuple[dict[int, int], int]:
+    """Integer weights of rows, given as columns of distinct codes, numerators and
+    denominators, over the lcm of the denominators.  Zero rows are dropped."""
+    denominator = math.lcm(*compress(dens, nums))
+    return dict(compress(zip(codes, map(mul, nums, map(floordiv, repeat(denominator), dens))), nums)), denominator
 
 
 class _PmfView(Mapping):
@@ -105,7 +102,17 @@ class _PmfView(Mapping):
         return len(self._weights)
 
     def __repr__(self) -> str:
-        return repr(dict(self.items()))
+        return repr(self._as_dict())
+
+    def items(self) -> ItemsView[Assignment, Fraction]:
+        return self._as_dict().items()
+
+    def values(self) -> ValuesView[Fraction]:
+        return self._as_dict().values()
+
+    def _as_dict(self) -> dict[Assignment, Fraction]:
+        """Decoded outcomes zipped with their weights' fractions: no lookup packs a tuple again."""
+        return dict(zip(self, map(Fraction, self._weights.values(), repeat(self._denominator))))
 
 
 class JointDistribution:
@@ -126,15 +133,16 @@ class JointDistribution:
             if s < 1:
                 raise ValueError(f"alphabet sizes must be >= 1, got {s}")
         width = _width(sizes)
-        rows: list[tuple[int, int, int]] = []
+        codes, nums, dens = [], [], []  # the rows, by column
         for outcome, prob in pmf.items():
             outcome = tuple(map(index, outcome))
-            code = _pack(outcome, sizes, width)
+            codes.append(_pack(outcome, sizes, width))
             q = Fraction(prob)
             if q.numerator < 0:
                 raise ValueError(f"negative probability {q} for outcome {outcome}")
-            rows.append((code, q.numerator, q.denominator))
-        weights, denominator = _common_denominator(rows)
+            nums.append(q.numerator)
+            dens.append(q.denominator)
+        weights, denominator = _common_denominator(codes, nums, dens)
         if sum(weights.values()) != denominator:
             raise ValueError("probabilities must sum to exactly 1")
         self._setup(sizes, weights, denominator)

@@ -16,6 +16,8 @@ which the parser rejects).
 from __future__ import annotations
 
 import re
+from itertools import chain, cycle, repeat
+from operator import itemgetter, lshift, lt
 
 from .statements import MAX_GROUND_SET, Cmi, _indices, _mask_key
 
@@ -126,69 +128,105 @@ _WORD = re.compile(r"\S+")
 def parse_distribution(text: str) -> JointDistribution:
     """Parse the line-oriented distribution format.
 
-    First non-comment line must be ``vars: NAME:SIZE ...`` (names are
-    positional and discarded); each following line is ``s1 .. sn : NUM/DEN``.
+    ``#`` starts a comment to the end of its line; a line of only whitespace
+    (``str.isspace``) is skipped.  The first other line is the header
+    ``vars: NAME:SIZE ...`` (names are positional and discarded); each later
+    one is a row ``s1 .. sn : NUM/DEN``, split at its last ``:``.  Whitespace
+    separates words; symbols, sizes, NUM and DEN are decimal digit runs
+    (``str.isdecimal``, so ``٢`` is 2), and the probability is one word.
     Explicit zero rows are allowed; duplicate rows, symbols outside their
-    alphabet, malformed probabilities and total mass != 1 are errors.
+    alphabet, malformed probabilities, a zero DEN and total mass != 1 are
+    errors.  The first error in line order is reported, the mass last.
     """
     # Imported here, so that statement-only callers never load the distribution layer.
     from fractions import Fraction
 
     from .distributions import JointDistribution, _common_denominator, _width
 
-    sizes: list[int] | None = None
-    rows: dict[int, tuple[int, int]] = {}  # by packed outcome code
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0]
+    lines = [line for line, _, _ in map(str.partition, text.split("\n"), repeat("#"))]
+    for lineno, line in enumerate(lines, start=1):
+        body = line.lstrip()
+        if body:
+            break
+    else:
+        raise ParseError(1, 1, "missing 'vars:' header line")
+    indent = len(line) - len(body)
+    if not body.startswith("vars:"):
+        raise ParseError(lineno, indent + 1, "expected 'vars:' header line")
+    sizes = []
+    for m in _WORD.finditer(line, indent + len("vars:")):
+        name, sep, size_text = m.group().rpartition(":")
+        col = m.start() + 1
+        if not sep or not name or not size_text.isdecimal():
+            raise ParseError(lineno, col, f"bad variable declaration {m.group()!r}; expected NAME:SIZE")
+        size = _int(size_text, lineno, col)
+        if size < 1:
+            raise ParseError(lineno, col, f"alphabet size must be >= 1, got {size}")
+        sizes.append(size)
+    if not sizes:
+        raise ParseError(lineno, indent + 1, "expected at least one variable declaration")
+    width = _width(sizes)  # variable i packs at bit width * (i - 1)
+    try:
+        columns = _columns(list(filter(str.strip, lines[lineno:])), sizes, range(0, width * len(sizes), width))
+    except ValueError:  # some row is malformed: find the first one
+        _raise_row_error(lines, lineno, sizes)
+        raise AssertionError("a column check failed, but every row parses") from None
+    weights, denominator = _common_denominator(*columns)
+    total = sum(weights.values())
+    if total != denominator:
+        raise ParseError(1, 1, f"probabilities sum to {Fraction(total, denominator)}, expected 1")
+    return JointDistribution._from_weights(tuple(sizes), weights, denominator)
+
+
+def _int(digits: str, line: int, column: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than Python converts, as for an index
+        raise ParseError(line, column, f"number too long ({len(digits)} digits)") from None
+
+
+def _columns(rows: list[str], sizes: list[int], shifts: range) -> tuple[list[int], list[int], list[int]]:
+    """Packed codes, numerators and denominators of the rows, each rule checked on
+    a whole column in C-level passes; ``ValueError`` when some row breaks one."""
+    n = len(sizes)
+    halves = list(map(str.rpartition, rows, repeat(":")))
+    words = list(map(str.split, map(itemgetter(0), halves)))
+    probs = list(map(str.split, map(itemgetter(2), halves)))
+    fracs = list(map(str.partition, chain.from_iterable(probs), repeat("/")))
+    digits = list(chain.from_iterable(words)), list(map(itemgetter(0), fracs)), list(map(itemgetter(2), fracs))
+    symbols, nums, dens = (list(map(int, column)) for column in digits)
+    codes = list(map(sum, zip(*[map(lshift, symbols, cycle(shifts))] * n)))
+    if not (
+        all(map(itemgetter(1), halves)) and all(map(n.__eq__, map(len, words)))
+        and all(map((1).__eq__, map(len, probs))) and all(map(itemgetter(1), fracs))
+        and all(map(str.isdecimal, chain(*digits))) and all(map(lt, symbols, cycle(sizes)))
+        and all(dens) and len(set(codes)) == len(codes)
+    ):
+        raise ValueError("malformed row")
+    return codes, nums, dens
+
+
+def _raise_row_error(lines: list[str], header: int, sizes: list[int]) -> None:
+    """Raise the error of the first malformed row after the header on line ``header``."""
+    seen: set[tuple[int, ...]] = set()
+    for lineno, line in enumerate(lines[header:], start=header + 1):
         body = line.lstrip()
         if not body:
             continue
         indent = len(line) - len(body)
-        if sizes is None:
-            if not body.startswith("vars:"):
-                raise ParseError(lineno, indent + 1, "expected 'vars:' header line")
-            sizes = []
-            for m in _WORD.finditer(line, indent + len("vars:")):
-                name, sep, size_text = m.group().rpartition(":")
-                col = m.start() + 1
-                if not sep or not name or not size_text.isdecimal():
-                    raise ParseError(
-                        lineno, col, f"bad variable declaration {m.group()!r}; expected NAME:SIZE"
-                    )
-                try:
-                    size = int(size_text)
-                except ValueError:  # as for an index
-                    raise ParseError(lineno, col, f"number too long ({len(size_text)} digits)") from None
-                if size < 1:
-                    raise ParseError(lineno, col, f"alphabet size must be >= 1, got {size}")
-                sizes.append(size)
-            if not sizes:
-                raise ParseError(lineno, indent + 1, "expected at least one variable declaration")
-            width = _width(sizes)
-            shifts = range(0, width * len(sizes), width)  # variable i packs at bit width * (i - 1)
-            continue
         colon = line.rfind(":")
         if colon == -1:
             raise ParseError(lineno, indent + 1, "expected 'SYMBOLS : PROBABILITY' row")
         sym_tokens = list(_WORD.finditer(line, 0, colon))
         if len(sym_tokens) != len(sizes):
-            raise ParseError(
-                lineno, indent + 1, f"expected {len(sizes)} symbols, got {len(sym_tokens)}"
-            )
-        code = 0
-        for m, size, shift in zip(sym_tokens, sizes, shifts):
+            raise ParseError(lineno, indent + 1, f"expected {len(sizes)} symbols, got {len(sym_tokens)}")
+        for i, (m, size) in enumerate(zip(sym_tokens, sizes), start=1):
             col, word = m.start() + 1, m.group()
             if not word.isdecimal():
                 raise ParseError(lineno, col, f"bad symbol {word!r}; expected an integer")
-            try:
-                s = int(word)
-            except ValueError:  # as for an index
-                raise ParseError(lineno, col, f"number too long ({len(word)} digits)") from None
+            s = _int(word, lineno, col)
             if s >= size:
-                raise ParseError(
-                    lineno, col, f"symbol {s} of variable {shift // width + 1} outside its alphabet 0..{size - 1}"
-                )
-            code |= s << shift
+                raise ParseError(lineno, col, f"symbol {s} of variable {i} outside its alphabet 0..{size - 1}")
         rat = _WORD.search(line, colon + 1)
         if rat is None:
             raise ParseError(lineno, colon + 2, "missing probability after ':'")
@@ -197,36 +235,20 @@ def parse_distribution(text: str) -> JointDistribution:
             raise ParseError(lineno, extra.start() + 1, "unexpected text after probability")
         num, slash, den = rat.group().partition("/")
         if not (slash and num.isdecimal() and den.isdecimal()):
-            raise ParseError(
-                lineno, rat.start() + 1, f"malformed probability {rat.group()!r}; expected NUM/DEN"
-            )
-        try:
-            den = int(den)
-        except ValueError:  # as for an index
-            raise ParseError(lineno, rat.start() + 1, f"number too long ({len(den)} digits)") from None
-        if den == 0:
+            raise ParseError(lineno, rat.start() + 1, f"malformed probability {rat.group()!r}; expected NUM/DEN")
+        if _int(den, lineno, rat.start() + 1) == 0:
             raise ParseError(lineno, rat.start() + 1, "probability denominator is zero")
-        if code in rows:
-            outcome = " ".join(str(int(m.group())) for m in sym_tokens)
-            raise ParseError(lineno, indent + 1, f"duplicate row for outcome {outcome}")
-        try:
-            rows[code] = (int(num), den)
-        except ValueError:  # as for an index
-            raise ParseError(lineno, rat.start() + 1, f"number too long ({len(num)} digits)") from None
-    if sizes is None:
-        raise ParseError(1, 1, "missing 'vars:' header line")
-    weights, denominator = _common_denominator((code, num, den) for code, (num, den) in rows.items())
-    total = sum(weights.values())
-    if total != denominator:
-        raise ParseError(1, 1, f"probabilities sum to {Fraction(total, denominator)}, expected 1")
-    return JointDistribution._from_weights(tuple(sizes), weights, denominator)
+        outcome = tuple(int(m.group()) for m in sym_tokens)
+        if outcome in seen:
+            raise ParseError(lineno, indent + 1, f"duplicate row for outcome {' '.join(map(str, outcome))}")
+        seen.add(outcome)
+        _int(num, lineno, rat.start() + 1)
 
 
 def render_distribution(p: JointDistribution) -> str:
     """Canonical distribution text: positional names, sorted rows, lowest terms."""
     header = "vars: " + " ".join(f"X{i}:{s}" for i, s in enumerate(p.alphabet_sizes, start=1))
     lines = [header.rstrip()]
-    for outcome in sorted(p.pmf):
-        q = p.pmf[outcome]
+    for outcome, q in sorted(p.pmf.items()):
         lines.append(" ".join(str(s) for s in outcome) + f" : {q.numerator}/{q.denominator}")
     return "\n".join(lines) + "\n"

@@ -73,6 +73,20 @@ def test_pmf_and_marginals_match_tuple_arithmetic(case, rng):
 
 
 @settings(max_examples=100, deadline=None)
+@given(small_pmfs())
+def test_pmf_items_and_values_match_lookups_in_order(case):
+    # items() and values() build each Fraction from its weight; lookups pack the tuple.
+    p = JointDistribution(*case)
+    looked_up = [(o, p.pmf[o]) for o in p.pmf]
+    assert list(p.pmf.items()) == looked_up
+    assert list(p.pmf.values()) == [q for _, q in looked_up]
+    assert len(p.pmf.items()) == len(p.pmf.values()) == len(looked_up)
+    assert looked_up[0] in p.pmf.items() and looked_up[0][1] in p.pmf.values()
+    assert p.pmf.items() == dict(looked_up).items()
+    assert repr(p.pmf) == repr(dict(looked_up))
+
+
+@settings(max_examples=100, deadline=None)
 @given(small_pmfs(min_n=1), st.randoms(use_true_random=False))
 def test_equality_agrees_across_every_constructor(case, rng):
     # The text format declares at least one variable.

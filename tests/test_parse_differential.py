@@ -1,0 +1,172 @@
+"""``parse_distribution`` against the row-by-row reference parser.
+
+The library parser checks every row rule on whole columns and only walks the
+rows to locate an error; ``textio_reference.parse_distribution`` is the parser
+as it was, one loop that checks each row in turn.  On loosely spelled texts
+of up to 300 rows, some with one or two late mutations, both must give an
+equal distribution (in the same order) or the same ``ParseError``: line,
+column and message.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import textio_reference
+from cmikit import ParseError, parse_distribution
+
+# Whitespace of several kinds: U+3000 ideographic space, U+001C file separator,
+# U+0085 next line, and a carriage return (as left by a \r\n ending).
+SEPARATORS = (" ", "  ", "\t", " \t", "　", "\x1c", "\x85", "\r")
+# The zero digit of ASCII, Arabic-Indic, Devanagari and fullwidth forms.
+ZEROS = (0x30, 0x30, 0x30, 0x660, 0x966, 0xFF10)
+LONG = "1" * 5000  # more digits than int() converts by default
+
+MUTATIONS = (
+    "drop row",
+    "duplicate row",
+    "symbol out of range",
+    "superscript symbol",
+    "long symbol",
+    "long numerator",
+    "long denominator",
+    "missing probability",
+    "extra probability word",
+    "1/2/3",
+    "/2",
+    "1/0",
+    "too few symbols",
+    "too many symbols",
+    "mass not 1",
+    "colon in symbol field",
+    "no colon",
+)
+
+
+def spell(rng: random.Random, value: int) -> str:
+    """``value`` in decimal digits, maybe with leading zeros, each digit in a random script."""
+    digits = "0" * rng.choice((0, 0, 0, 0, 1, 2)) + str(value)
+    return "".join(chr(rng.choice(ZEROS) + int(d)) for d in digits)
+
+
+def space(rng: random.Random, least: int = 1) -> str:
+    return "".join(rng.choice(SEPARATORS) for _ in range(rng.randint(least, 2)))
+
+
+def loose_text(rng: random.Random, mutations: list[str], max_rows: int = 300) -> str:
+    """Distribution text with comments, blank lines, mixed whitespace, digits of
+    several scripts and rows not in lowest terms; then each mutation is applied
+    at a row in the last third."""
+    n = rng.randint(1, 5)
+    sizes = [rng.randint(1, 5) for _ in range(n)]
+    grid = list(itertools.product(*map(range, sizes)))
+    support = rng.sample(grid, min(len(grid), rng.randint(0, max_rows)))
+    weights = [rng.choice((0, 1, 1, 2, 3, 5)) for _ in support]
+    if support and not any(weights):
+        weights[-1] = 1
+    total = sum(weights)
+    rows = []
+    for outcome, w in zip(support, weights):
+        k = rng.randint(1, 3)
+        num, den = (w * k, total * k) if w else (0, rng.randint(1, 9))
+        rows.append({"symbols": [spell(rng, s) for s in outcome], "prob": f"{spell(rng, num)}/{spell(rng, den)}"})
+    for kind in mutations:
+        if kind == "mass not 1":  # a header-only text already has no mass
+            if rows:
+                rows[-1]["prob"] = "1/7" if rows[-1]["prob"] != "1/7" else "2/7"
+            continue
+        if not rows:
+            rows.append({"symbols": ["0"] * n, "prob": "1/1"})
+        i = rng.randrange(len(rows) * 2 // 3, len(rows))
+        row = rows[i]
+        if not row["symbols"]:  # an earlier mutation took the only one
+            row["symbols"].append("0")
+        v = rng.randrange(len(row["symbols"]))
+        if kind == "drop row":
+            del rows[i]
+        elif kind == "duplicate row":
+            j = rng.randrange(i + 1)
+            rows.insert(i + 1, {"symbols": list(rows[j]["symbols"]), "prob": rows[j]["prob"]})
+        elif kind == "symbol out of range":
+            row["symbols"][v] = spell(rng, sizes[v] + rng.randint(0, 3))
+        elif kind == "superscript symbol":
+            row["symbols"][v] = "²"
+        elif kind == "long symbol":
+            row["symbols"][v] = LONG
+        elif kind == "long numerator":
+            row["prob"] = LONG + "/" + row["prob"].partition("/")[2]
+        elif kind == "long denominator":
+            row["prob"] = row["prob"].partition("/")[0] + "/" + LONG
+        elif kind == "missing probability":
+            row["prob"] = ""
+        elif kind == "extra probability word":
+            row["prob"] += space(rng) + rng.choice(("x", "1/2", "0"))
+        elif kind in ("1/2/3", "/2", "1/0"):
+            row["prob"] = kind
+        elif kind == "too few symbols":
+            del row["symbols"][v]
+        elif kind == "too many symbols":
+            row["symbols"].insert(v, "0")
+        elif kind == "colon in symbol field":
+            row["symbols"][v] += rng.choice((":", ":1"))
+        elif kind == "no colon":
+            row["colon"] = ""
+    out = []
+    for _ in range(rng.randint(0, 2)):
+        out.append(rng.choice(("", "# a comment: before the header", space(rng), "#")))
+    out.append(space(rng, 0) + "vars:" + "".join(space(rng) + f"X{i}:{spell(rng, s)}" for i, s in enumerate(sizes)))
+    for row in rows:
+        if rng.random() < 0.05:
+            out.append(rng.choice(("", "# between rows: 0 0 : 1/1", space(rng))))
+        symbols = row["symbols"]
+        line = space(rng, 0) + "".join(s + space(rng) for s in symbols[:-1]) + "".join(symbols[-1:])
+        line += space(rng, 0) + row.get("colon", ":") + space(rng, 0) + row["prob"] + space(rng, 0)
+        if rng.random() < 0.1:
+            line += "# trailing: 1/2 " + rng.choice(("", "x", ":"))
+        out.append(line)
+    ending = rng.choice(("\n", "\r\n"))
+    return ending.join(out) + rng.choice((ending, ""))
+
+
+def result_of(parse, text):
+    """What ``parse`` makes of ``text``: the distribution, its sizes and its items in
+    order, or the error's line, column and message."""
+    try:
+        p = parse(text)
+    except ParseError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+    return ("ok", p.alphabet_sizes, list(p.pmf.items()), p)
+
+
+def same(text):
+    want = result_of(textio_reference.parse_distribution, text)
+    assert result_of(parse_distribution, text) == want, text[:300]
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(MUTATIONS), max_size=2))
+def test_parser_matches_the_row_by_row_reference(seed, mutations):
+    same(loose_text(random.Random(seed), mutations))
+
+
+def test_differential_texts_reach_every_outcome():
+    # The generator is worth something only if it both parses and fails: every
+    # mutation must be seen to raise, and the unmutated texts must parse.
+    rng = random.Random(14)
+    messages = set()
+    for kind in MUTATIONS:
+        errors = 0
+        for _ in range(12):
+            result = same(loose_text(rng, [kind], max_rows=40))
+            errors += result[0] == "error"
+            if result[0] == "error":
+                messages.add(result[3].split(":", 1)[1].split()[0])
+        assert errors >= 6, kind
+    accepted = sum(same(loose_text(rng, [], max_rows=300))[0] == "ok" for _ in range(30))
+    assert accepted >= 25
+    assert {"expected", "bad", "symbol", "missing", "unexpected", "malformed", "probability", "duplicate",
+            "number"} <= messages

@@ -18,7 +18,7 @@ from cmikit import (
     render_cmi,
     render_distribution,
 )
-from cmikit.textio import _TOKEN
+from cmikit.textio import _TOKEN, _WORD
 
 CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
 SPACES = "".join(c for c in CODE_POINTS if c.isspace())
@@ -97,6 +97,15 @@ def test_whitespace_splits_and_decimal_digits_join_tokens():
     assert parse_cmi(text, 3) == Cmi(3, {3}, ({1}, {2}))
     for d in (c for c in CODE_POINTS if c.isdecimal()):
         assert parse_cmi(f"I(1{d})", 19) == Cmi(19, set(), ({10 + int(d)},)), hex(ord(d))
+
+
+def test_str_split_and_the_word_pattern_agree_on_whitespace():
+    # parse_distribution accepts rows with str.split() and locates errors with
+    # \S+, so both must split at exactly the str.isspace characters.
+    # Every code point sits between two x's, so each space character adds one word.
+    text = "x" + "".join(f"{c}x" for c in CODE_POINTS)
+    assert text.split() == _WORD.findall(text)
+    assert len(text.split()) == len(SPACES) + 1
 
 
 def test_render_cmi_goldens():
@@ -184,6 +193,19 @@ def test_parse_distribution_error_lines():
         ("vars: A:2\n  0 1/1\n", 2, 3, "expected 'SYMBOLS : PROBABILITY'"),
         ("vars: A:2 B:2\n\t0 0 : 1/2\n\t1 x : 1/2\n", 3, 4, "bad symbol 'x'"),
         ("vars: A:2 B:2\n0\u30000 : 1/2\n1\u3000x : 1/2\n", 3, 3, "bad symbol 'x'"),
+        # A header with no rows, or with zero rows only, has no mass.
+        ("vars: A:2\n", 1, 1, "sum to 0, expected 1"),
+        ("vars: A:2 B:3", 1, 1, "sum to 0, expected 1"),
+        ("vars: A:2\n0 : 0/1\n1 : 0/3\n", 1, 1, "sum to 0, expected 1"),
+        # No final newline.
+        ("vars: A:2\n0 : 1/2\n2 : 1/2", 3, 1, "symbol 2 of variable 1 outside"),
+        ("vars: A:2\n0 : 1/2\n1 : 1/3", 1, 1, "sum to 5/6"),
+        # Two errors on one row, then on two rows: the first is reported.
+        ("vars: A:2 B:2\n2 x : 1/2\n", 2, 1, "symbol 2 of variable 1 outside"),
+        ("vars: A:2 B:2\n0 5 : 1/2/3\n", 2, 3, "symbol 5 of variable 2 outside"),
+        ("vars: A:2\n0 : 1/0 x\n", 2, 9, "after probability"),
+        ("vars: A:2\n0 : 1/0\nx : 1/2\n", 2, 5, "denominator is zero"),
+        ("vars: A:2\n0 : 1/1\n1 : 2/0\n1 : 1/0 x\n", 3, 5, "denominator is zero"),
     ]
     for text, line, column, fragment in cases:
         with pytest.raises(ParseError) as exc:
