@@ -168,6 +168,19 @@ CASES = [
     ["check", "I(1 ; 2)", "--n", "3", "--dist", "<tmp>/lastslash.txt"],
     ["check", "I(1 ; 2)", "--n", "3", "--dist", "<tmp>/lastdup.txt"],
     ["entropy", "I(1)", "--n", "3", "--dist", "<tmp>/lastdup.txt"],
+    # argparse's error paths: the usage lines list the actions in the order
+    # the parser adds them
+    *([name] for name in ("canon", "equiv", "implies", "witness", "check", "entropy", "decompose")),
+    ["equiv", "I(1 ; 2)", "--n", "3"],
+    ["decompose", "I(1 ; 2)"],
+    ["decompose", "I(1 ; 2)", "--n", "x"],
+    ["check", "I(1 ; 2)", "--n", "3"],
+    ["entropy", "I(1)", "--n", "3"],
+    ["entropy", "--n", "3", "--dist", "<tmp>/xor.txt"],
+    ["implies", "I(1 ; 2)", "I(1 ; 2)", "--n", "3", "--verify", "--samples", "x"],
+    ["witness", "I(1 ; 2)", "I(1 ; 2 | 3)", "--n", "3", "--verify"],
+    ["check", "I(1 ; 2)", "--n", "3", "--dist", "<tmp>/xor.txt", "--seed", "1"],
+    ["canon", "I(1 ; 2)", "--n", "3", "--out", "<tmp>/canon.txt"],
 ]
 
 

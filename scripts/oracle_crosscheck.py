@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from cmikit import TOLERANCE, is_valid, j_value, random_distribution
@@ -25,15 +24,7 @@ from oracle_reference import brute_valid  # noqa: E402
 from samplers import random_cmi  # noqa: E402
 
 
-@dataclass
-class Config:
-    trials: int = 2000
-    seed: int = 0
-    max_n: int = 4
-    max_alphabet: int = 3
-
-
-def parse_args(argv: list[str] | None) -> Config:
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=_positive_int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
@@ -43,19 +34,18 @@ def parse_args(argv: list[str] | None) -> Config:
     parser.add_argument(
         "--max-alphabet", type=int, default=3, choices=range(1, 5), metavar="A", help="largest alphabet (1..4)"
     )
-    args = parser.parse_args(argv)
-    return Config(args.trials, args.seed, args.max_n, args.max_alphabet)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(argv)
-    rng = random.Random(cfg.seed)
+    args = parse_args(argv)
+    rng = random.Random(args.seed)
     oracle_bugs = bridge_bugs = 0
-    for t in range(cfg.trials):
-        n = rng.randint(1, cfg.max_n)
-        sizes = tuple(rng.randint(1, cfg.max_alphabet) for _ in range(n))
+    for t in range(args.trials):
+        n = rng.randint(1, args.max_n)
+        sizes = tuple(rng.randint(1, args.max_alphabet) for _ in range(n))
         grain = rng.choice((1, 2, 3, 4, 8, 16))
-        p = random_distribution(n, sizes, seed=cfg.seed + t, mass_grain=grain)
+        p = random_distribution(n, sizes, seed=args.seed + t, mass_grain=grain)
         k = random_cmi(rng, n, max_blocks=3)
         fast, slow = is_valid(p, k), brute_valid(p, k)
         if fast != slow:
@@ -66,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
             bridge_bugs += 1
             print(f"bridge mismatch: {k!r} valid={fast} J={j!r} trial={t}")
     print(
-        f"{cfg.trials} trials: {oracle_bugs} oracle mismatches, "
+        f"{args.trials} trials: {oracle_bugs} oracle mismatches, "
         f"{bridge_bugs} bridge mismatches"
     )
     return 1 if (oracle_bugs or bridge_bugs) else 0

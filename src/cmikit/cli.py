@@ -134,52 +134,32 @@ def cmd_canon(args: argparse.Namespace) -> int:
     return 0
 
 
-# Per decide command: the test, its verdicts (yes, no), the separating witness
-# for a "no", and what --verify demands of a "yes" (`witness` has no --verify).
-# The tests are looked up in this module, and the witness builders (named)
-# in ``witnesses``, when the command runs, so a rebinding of, say,
-# ``cli.implies`` is the one that decides.
-_DECIDE = {
-    "equiv": (
-        lambda k, k2: equivalent(k, k2),
-        ("EQUIVALENT", "NOT EQUIVALENT"),
-        "witness_non_equivalence",
-        _EQUIVALENT,
-    ),
-    "implies": (
-        lambda k, k2: implies(k, k2),
-        ("IMPLIES", "DOES NOT IMPLY"),
-        "witness_non_implication",
-        _ENTAILED,
-    ),
-    "witness": (
-        lambda k, k2: implies(k, k2),
-        ("IMPLIES", "DOES NOT IMPLY"),
-        "witness_non_implication",
-        None,
-    ),
-}
-
-
 def cmd_decide(args: argparse.Namespace) -> int:
     """Decide `equiv`, `implies` or `witness` for two statements.
 
     `witness` inverts the outcome: it succeeds when a separating distribution
-    exists, and then prints only that distribution.
+    exists, and then prints only that distribution.  The test and the witness
+    builder are looked up when the command runs, so a rebinding of, say,
+    ``cli.implies`` or ``witnesses.witness_non_implication`` is the one called.
     """
-    test, verdicts, separate, demand = _DECIDE[args.command]
+    equiv = args.command == "equiv"
     inverted = args.command == "witness"
     k = parse_cmi(args.statement, args.n)
     k2 = parse_cmi(args.statement2, args.n)
-    answer = test(k, k2)
-    verdict = verdicts[0] if answer else verdicts[1]
+    if equiv:
+        answer = equivalent(k, k2)
+        verdict = "EQUIVALENT" if answer else "NOT EQUIVALENT"
+    else:
+        answer = implies(k, k2)
+        verdict = "IMPLIES" if answer else "DOES NOT IMPLY"
     witness_payload = None
     if not answer:
         from . import witnesses
 
-        witness_payload = _emit_witness(getattr(witnesses, separate)(k, k2), args.out)
-    elif demand is not None and args.verify:
-        _verify(args, [k, k2], demand)
+        separate = witnesses.witness_non_equivalence if equiv else witnesses.witness_non_implication
+        witness_payload = _emit_witness(separate(k, k2), args.out)
+    elif not inverted and args.verify:  # `witness` has no --verify
+        _verify(args, [k, k2], _EQUIVALENT if equiv else _ENTAILED)
     if args.json:
         _print_json(args, [k, k2], verdict, witness=witness_payload)
     else:
@@ -271,58 +251,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="decision engine and exact oracle for conditional mutual independence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # name, help, statements taken (1, 2 or "+"), handler, extra flags: "dist",
-    # "defect" (check's --verify), "verify" (--verify on samples) and "out".
-    for name, help_text, arity, handler, extra in (
-        ("canon", "print the canonical form of a statement", 1, cmd_canon, ("verify",)),
-        ("equiv", "decide whether two statements are equivalent", 2, cmd_decide, ("verify", "out")),
-        (
-            "implies", "decide whether the first statement implies the second", 2, cmd_decide,
-            ("verify", "out"),
-        ),
-        ("witness", "produce a distribution separating two statements", 2, cmd_decide, ("out",)),
-        ("check", "test a statement against a distribution file", 1, cmd_check, ("dist", "defect")),
-        (
-            "entropy", "evaluate entropy and defect measures on a distribution", "+", cmd_entropy,
-            ("dist",),
-        ),
-        (
-            "decompose", "split a statement into pairwise conditional independencies", 1,
-            cmd_decompose, ("verify",),
-        ),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        if arity == 1:
-            p.add_argument("statement", help="CMI statement, e.g. 'I(1,2 ; 3 | 4)'")
-        elif arity == 2:
-            p.add_argument("statement", help="premise statement")
-            p.add_argument("statement2", help="conclusion statement")
-        else:
-            p.add_argument("statements", nargs=arity, help="statements to measure")
+    # The subcommands are composed from these parents and share their Action
+    # objects, so a set_defaults on a dest that a parent defines reaches them all.
+    one, two, many, sampled, out = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    one.add_argument("statement", help="CMI statement, e.g. 'I(1,2 ; 3 | 4)'")
+    two.add_argument("statement", help="premise statement")
+    two.add_argument("statement2", help="conclusion statement")
+    many.add_argument("statements", nargs="+", help="statements to measure")
+    for p in (one, two, many):
         p.add_argument("--n", type=int, required=True, help="ground-set size")
         p.add_argument("--json", action="store_true", help="emit one JSON object on stdout")
-        if "dist" in extra:
-            what = "check against" if name == "check" else "measure"
-            p.add_argument("--dist", required=True, help=f"distribution file to {what}")
-        if "defect" in extra:
-            p.add_argument(
-                "--verify",
-                action="store_true",
-                help="cross-check the exact verdict against the entropy defect",
-            )
-        if "verify" in extra:
-            p.add_argument(
-                "--verify",
-                action="store_true",
-                help="cross-check the verdict against the exact oracle on random distributions",
-            )
-            p.add_argument("--seed", type=int, default=0, help="base seed for --verify sampling")
-            p.add_argument(
-                "--samples", type=_positive_int, default=200, help="sample count for --verify"
-            )
-        if "out" in extra:
-            p.add_argument("--out", help="write the separating distribution to this file")
-        p.set_defaults(handler=handler)
+    sampled.add_argument(
+        "--verify",
+        action="store_true",
+        help="cross-check the verdict against the exact oracle on random distributions",
+    )
+    sampled.add_argument("--seed", type=int, default=0, help="base seed for --verify sampling")
+    sampled.add_argument(
+        "--samples", type=_positive_int, default=200, help="sample count for --verify"
+    )
+    out.add_argument("--out", help="write the separating distribution to this file")
+    for name, help_text, parents, handler in (
+        ("canon", "print the canonical form of a statement", [one, sampled], cmd_canon),
+        ("equiv", "decide whether two statements are equivalent", [two, sampled, out], cmd_decide),
+        (
+            "implies", "decide whether the first statement implies the second",
+            [two, sampled, out], cmd_decide,
+        ),
+        ("witness", "produce a distribution separating two statements", [two, out], cmd_decide),
+        ("check", "test a statement against a distribution file", [one], cmd_check),
+        ("entropy", "evaluate entropy and defect measures on a distribution", [many], cmd_entropy),
+        (
+            "decompose", "split a statement into pairwise conditional independencies",
+            [one, sampled], cmd_decompose,
+        ),
+    ):
+        sub.add_parser(name, help=help_text, parents=parents).set_defaults(handler=handler)
+    check = sub.choices["check"]
+    check.add_argument("--dist", required=True, help="distribution file to check against")
+    check.add_argument(
+        "--verify",
+        action="store_true",
+        help="cross-check the exact verdict against the entropy defect",
+    )
+    entropy = sub.choices["entropy"]
+    entropy.add_argument("--dist", required=True, help="distribution file to measure")
     return parser
 
 

@@ -588,6 +588,46 @@ def test_verify_at_large_n_still_catches_a_wrong_verdict(capsys, monkeypatch):
     )
 
 
+def test_verify_catches_a_wrong_equivalence_verdict(capsys, monkeypatch):
+    # `equiv` looks `equivalent` up in cmikit.cli when it runs, so the
+    # rebinding decides, and --verify then finds a separating sample.
+    monkeypatch.setattr("cmikit.cli.equivalent", lambda k, k2: True)
+    code, out, err = run(capsys, "equiv", "I(1 ; 2)", "I(1 ; 2 | 3)", "--n", "3", "--verify")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: verification failed: sampled distribution separates statements declared equivalent\n"
+    )
+
+
+def test_decide_calls_the_witness_builder_bound_in_witnesses(capsys, monkeypatch):
+    from cmikit import witnesses
+
+    calls = []
+
+    def wrapped(name):
+        builder = getattr(witnesses, name)
+
+        def wrapper(k, k2):
+            calls.append(name)
+            return builder(k, k2)
+
+        return wrapper
+
+    for name in ("witness_non_equivalence", "witness_non_implication"):
+        monkeypatch.setattr(witnesses, name, wrapped(name))
+    for command, builder in (
+        ("equiv", "witness_non_equivalence"),
+        ("implies", "witness_non_implication"),
+        ("witness", "witness_non_implication"),
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, command, "I(1 ; 2)", "I(1 ; 2 | 3)", "--n", "3")
+        assert (code, calls) == (0 if command == "witness" else 1, [builder])
+        # A "yes" builds no witness.
+        run(capsys, command, "I(1 ; 2 | 3)", "I(2 ; 1 | 3)", "--n", "3")
+        assert calls == [builder]
+
+
 def test_verify_names_its_variable_limit(capsys):
     code, out, err = run(capsys, "canon", "I(1,2,3,4,5 ; 6,7,8,9 | 10)", "--n", "12", "--verify")
     assert (code, out) == (2, "")

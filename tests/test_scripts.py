@@ -1,7 +1,6 @@
 """The experiment scripts under ``scripts/``, run in-process through their ``main``."""
 
 import importlib.util
-import sys
 from functools import cache
 from pathlib import Path
 
@@ -14,7 +13,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 def load(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses resolves the scripts' annotations through it
     spec.loader.exec_module(module)
     return module
 
