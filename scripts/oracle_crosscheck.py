@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from cmikit import TOLERANCE, is_valid, j_value, random_distribution
-from cmikit.cli import _positive_int
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracle_reference import brute_valid  # noqa: E402
@@ -26,7 +25,7 @@ from samplers import random_cmi  # noqa: E402
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=_positive_int, default=2000)
+    parser.add_argument("--trials", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--max-n", type=int, default=4, choices=range(1, 9), metavar="N", help="largest ground set (1..8)"
@@ -34,7 +33,10 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument(
         "--max-alphabet", type=int, default=3, choices=range(1, 5), metavar="A", help="largest alphabet (1..4)"
     )
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error(f"argument --trials: must be at least 1, got {args.trials}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _HOME = {
     **dict.fromkeys(
         (
-            "Assignment", "JointDistribution", "Rational", "TOLERANCE", "cond_entropy",
-            "cond_mutual_info", "entropy", "is_valid", "j_value", "random_distribution",
+            "Assignment", "JointDistribution", "TOLERANCE", "cond_entropy", "cond_mutual_info",
+            "entropy", "is_valid", "j_value", "random_distribution",
         ),
         "distributions",
     ),
@@ -28,8 +28,7 @@ _HOME = {
         (
             "Cmi", "CanonicalCmi", "IndexSet", "MAX_GROUND_SET", "block_key", "canonicalize",
             "decompose_to_cis", "enumerate_canonical", "equivalent", "implies", "is_degenerate",
-            "is_pure", "is_sub_cmi", "pure_form", "repeated_indices", "residual", "set_implies",
-            "weaken",
+            "is_pure", "pure_form", "residual", "weaken",
         ),
         "statements",
     ),

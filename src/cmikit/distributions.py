@@ -25,7 +25,6 @@ from operator import and_, floordiv, index, mul, or_
 
 from .statements import Cmi, _indices, _mask_of, canonicalize
 
-Rational = Fraction
 Assignment = tuple[int, ...]
 
 #: Slack used when comparing float entropy expressions against exact verdicts.
@@ -127,7 +126,7 @@ class JointDistribution:
 
     __slots__ = ("n", "alphabet_sizes", "pmf", "_weights", "_denominator", "_width", "_counts", "_live")
 
-    def __init__(self, alphabet_sizes: Sequence[int], pmf: Mapping[Assignment, Rational]) -> None:
+    def __init__(self, alphabet_sizes: Sequence[int], pmf: Mapping[Assignment, Fraction]) -> None:
         sizes = tuple(map(index, alphabet_sizes))
         for s in sizes:
             if s < 1:
@@ -203,7 +202,7 @@ class JointDistribution:
         self._counts[mask] = counts
         return counts
 
-    def marginal(self, indices: Iterable[int]) -> dict[Assignment, Rational]:
+    def marginal(self, indices: Iterable[int]) -> dict[Assignment, Fraction]:
         """Marginal pmf of the 1-based variables ``indices``, keyed by sorted order."""
         d, mask = self._denominator, self._mask(indices)
         counts = self._marginal_counts(mask)

@@ -11,8 +11,7 @@ Index sets are stored only as ``int`` bitmasks (index ``i`` is bit ``i - 1``);
 each read of a public ``frozenset`` field builds fresh, equal sets from them.
 Equality, hashing, ``canonicalize`` and one clause function read the masks; the
 clause function names the first failing clause of the sub-CMI test and the
-witness template and pivots it plans.  ``implies`` (alias ``is_sub_cmi``) asks
-whether none fails.
+witness template and pivots it plans.  ``implies`` asks whether none fails.
 """
 
 from __future__ import annotations
@@ -222,18 +221,6 @@ def is_pure(k: Cmi) -> bool:
     return all(b and not b & k._cond for b in k._written)
 
 
-def repeated_indices(k: Cmi) -> IndexSet:
-    """Indices appearing in two or more blocks, counted over block positions.
-
-    A valid statement forces each such index to be a function of the
-    conditioning variables.  Statements with fewer than two blocks have no
-    repeated indices.
-    """
-    if not is_pure(k):
-        raise ValueError("repeated_indices expects a pure statement; apply pure_form first")
-    return canonicalize(k).repeated  # on a pure statement it counts repeats over the same blocks
-
-
 #: Canonical forms kept by ``canonicalize``: a bound, so long runs over fresh
 #: statements keep memory flat, well above the 1,077 classes over n=5.
 CANONICAL_CACHE_SIZE = 4096
@@ -243,7 +230,8 @@ CANONICAL_CACHE_SIZE = 4096
 def canonicalize(k: Cmi) -> CanonicalCmi:
     """Normal form whose structural equality decides statement equivalence.
 
-    Same steps as ``pure_form`` then ``repeated_indices``, on the masks.
+    On the masks: ``pure_form``, then the indices found in two or more blocks
+    (the repeated set) are split off the parts.
     """
     free = ~k._cond
     blocks = [b & free for b in k._blocks if b & free]
@@ -378,28 +366,10 @@ def implies(k: Cmi, k2: Cmi) -> bool:
     return _sub_cmi_clause(k, k2)[0] == HOLDS
 
 
-is_sub_cmi = implies
-
-
 def equivalent(k: Cmi, k2: Cmi) -> bool:
     """True when the statements hold on exactly the same distributions."""
     _require_same_ground(k, k2)
     return canonicalize(k) == canonicalize(k2)
-
-
-def set_implies(premises: Sequence[Cmi], conclusions: Sequence[Cmi]) -> bool:
-    """True when every conclusion is a consequence of at least one premise.
-
-    Sound for any premise count, but complete only for a single premise; the
-    general multi-premise implication problem is out of scope.
-    """
-    premises = list(premises)
-    conclusions = list(conclusions)
-    if not premises:
-        raise ValueError("at least one premise is required")
-    for stmt in itertools.chain(premises[1:], conclusions):
-        _require_same_ground(premises[0], stmt)
-    return all(any(implies(p, c) for p in premises) for c in conclusions)
 
 
 def decompose_to_cis(k: Cmi) -> list[Cmi]:

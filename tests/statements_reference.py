@@ -2,23 +2,26 @@
 
 ``ref_canonicalize``, ``ref_residual`` and ``ref_is_sub_cmi`` restate the
 canonical form, the residual and the implication test on the public
-``frozenset`` fields only, through the public ``pure_form`` and
-``repeated_indices`` transforms.  They never read a mask, so the property
-tests can hold ``canonicalize``, ``residual`` and ``implies`` to them.
+``frozenset`` fields only, through the public ``pure_form`` transform; the
+repeated set is counted here, over the pure blocks.  They never read a mask or
+call ``canonicalize``, so the property tests can hold ``canonicalize``,
+``residual`` and ``implies`` to them.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
-from cmikit import CanonicalCmi, Cmi, pure_form, repeated_indices
+from cmikit import CanonicalCmi, Cmi, pure_form
 
 
 def ref_canonicalize(k: Cmi) -> CanonicalCmi:
     p = pure_form(k)
     if len(p.blocks) <= 1:
         return CanonicalCmi.degenerate_form(k.n)
-    rep = repeated_indices(p)
+    counts = Counter(i for b in p.blocks for i in b)
+    rep = frozenset(i for i, count in counts.items() if count >= 2)
     parts = tuple(b - rep for b in p.blocks if b - rep)
     if rep and len(parts) <= 1:
         parts = ()

@@ -1,5 +1,6 @@
 """The experiment scripts under ``scripts/``, run in-process through their ``main``."""
 
+import ast
 import importlib.util
 from functools import cache
 from pathlib import Path
@@ -81,3 +82,14 @@ def test_cold_cli_pairs_every_call_kind_under_two_trees(capsys):
     kinds = [line[:22].rstrip() for line in lines[2:]]
     assert kinds == [kind for kind, _, _ in load("cold_cli").CALLS]
     assert all(float(line.split()[-3]) > 0 for line in lines[2:])
+
+
+def test_scripts_import_only_the_census_private_names_from_cmikit():
+    # The census reads the clause and witness plan through private names until
+    # the library has a public record of them; no other script may reach in.
+    private = set()
+    for path in SCRIPTS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cmikit":
+                private |= {(path.stem, a.name) for a in node.names if a.name.startswith("_")}
+    assert private == {("implication_census", "_sub_cmi_clause"), ("implication_census", "_try")}

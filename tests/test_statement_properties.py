@@ -19,7 +19,6 @@ from cmikit import (
     is_pure,
     pure_form,
     residual,
-    set_implies,
 )
 
 
@@ -113,12 +112,6 @@ def test_decompose_components_are_pairwise_cis_and_implied(k):
     for c in comps:
         assert len(c.blocks) == 2
         assert implies(k, c)
-
-
-@given(cmi_pairs())
-def test_set_implies_with_one_premise_matches_implies(pair):
-    k, k2 = pair
-    assert set_implies([k], [k2]) == implies(k, k2)
 
 
 @given(cmis(), st.integers(0, 2**32 - 1))

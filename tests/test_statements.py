@@ -16,11 +16,8 @@ from cmikit import (
     implies,
     is_degenerate,
     is_pure,
-    is_sub_cmi,
     pure_form,
-    repeated_indices,
     residual,
-    set_implies,
     weaken,
 )
 
@@ -63,17 +60,10 @@ def test_pure_form_preserves_block_order():
 
 
 def test_repeated_indices_counts_block_positions():
-    assert repeated_indices(pure_form(CHAIN)) == {2}
-    assert repeated_indices(Cmi(3, set(), ({1, 2}, {1, 2}))) == {1, 2}
-    assert repeated_indices(Cmi(3, set(), ({1},))) == frozenset()
-    assert repeated_indices(Cmi(3, set(), ())) == frozenset()
-
-
-def test_repeated_indices_rejects_impure_statements():
-    with pytest.raises(ValueError, match="pure"):
-        repeated_indices(Cmi(3, {1}, ({1, 2},)))
-    with pytest.raises(ValueError, match="pure"):
-        repeated_indices(Cmi(3, set(), (frozenset(),)))
+    assert canonicalize(pure_form(CHAIN)).repeated == {2}
+    assert canonicalize(Cmi(3, set(), ({1, 2}, {1, 2}))).repeated == {1, 2}
+    assert canonicalize(Cmi(3, set(), ({1},))).repeated == frozenset()
+    assert canonicalize(Cmi(3, set(), ())).repeated == frozenset()
 
 
 def test_canonicalize_running_example():
@@ -172,54 +162,54 @@ def test_residual_requires_matching_ground_sets():
 
 
 def test_sub_cmi_running_example():
-    assert is_sub_cmi(CHAIN, Cmi(5, {1}, ({2}, {2})))
-    assert is_sub_cmi(CHAIN, Cmi(5, {1, 3}, ({2}, {3}, {4})))
-    assert is_sub_cmi(CHAIN, Cmi(5, {1, 2}, ({1}, {3}, {4})))
+    assert implies(CHAIN, Cmi(5, {1}, ({2}, {2})))
+    assert implies(CHAIN, Cmi(5, {1, 3}, ({2}, {3}, {4})))
+    assert implies(CHAIN, Cmi(5, {1, 2}, ({1}, {3}, {4})))
 
 
 def test_sub_cmi_accepts_merged_parts():
     # Distinct parts of the premise may be merged into one conclusion block.
-    assert is_sub_cmi(Cmi(3, set(), ({1}, {2}, {3})), Cmi(3, set(), ({1, 2}, {3})))
+    assert implies(Cmi(3, set(), ({1}, {2}, {3})), Cmi(3, set(), ({1, 2}, {3})))
 
 
 def test_sub_cmi_rejects_split_parts():
     # The reverse split is not sound: joint independence of {1,2} from {3}
     # says nothing about independence inside {1,2}.
-    assert not is_sub_cmi(Cmi(3, set(), ({1, 2}, {3})), Cmi(3, set(), ({1}, {2})))
+    assert not implies(Cmi(3, set(), ({1, 2}, {3})), Cmi(3, set(), ({1}, {2})))
 
 
 def test_sub_cmi_rejects_condition_changes_that_can_break():
     # Conditioning on a variable the premise never mentions can break it.
-    assert not is_sub_cmi(Cmi(3, set(), ({1}, {2})), Cmi(3, {3}, ({1}, {2})))
+    assert not implies(Cmi(3, set(), ({1}, {2})), Cmi(3, {3}, ({1}, {2})))
     # Dropping the premise's own condition is equally unsound.
-    assert not is_sub_cmi(Cmi(3, {1}, ({2}, {3})), Cmi(3, set(), ({2}, {3})))
+    assert not implies(Cmi(3, {1}, ({2}, {3})), Cmi(3, set(), ({2}, {3})))
 
 
 def test_sub_cmi_allows_condition_move_into_consumed_parts():
     # Indices dropped from the premise's parts may be conditioned on.
-    assert is_sub_cmi(Cmi(3, set(), ({1, 2}, {3})), Cmi(3, {2}, ({1}, {3})))
-    assert is_sub_cmi(Cmi(4, set(), ({1, 2}, {3, 4})), Cmi(4, {2, 4}, ({1}, {3})))
+    assert implies(Cmi(3, set(), ({1, 2}, {3})), Cmi(3, {2}, ({1}, {3})))
+    assert implies(Cmi(4, set(), ({1, 2}, {3, 4})), Cmi(4, {2, 4}, ({1}, {3})))
 
 
 def test_sub_cmi_degenerate_cases():
-    assert is_sub_cmi(Cmi(3, {1}, ({2}, {3})), Cmi(3, set(), ()))
-    assert is_sub_cmi(Cmi(3, set(), ()), Cmi(3, set(), ({1},)))
-    assert not is_sub_cmi(Cmi(3, set(), ()), Cmi(3, set(), ({1}, {2})))
+    assert implies(Cmi(3, {1}, ({2}, {3})), Cmi(3, set(), ()))
+    assert implies(Cmi(3, set(), ()), Cmi(3, set(), ({1},)))
+    assert not implies(Cmi(3, set(), ()), Cmi(3, set(), ({1}, {2})))
     # Degenerate-residual path still demands the premise condition be carried:
     # "X2 pinned by X1" does not make X2 outright constant.
     k = Cmi(3, {1}, ({2}, {2}, {3}))
-    assert not is_sub_cmi(k, Cmi(3, set(), ({2}, {2})))
-    assert is_sub_cmi(k, Cmi(3, {1}, ({2}, {2})))
+    assert not implies(k, Cmi(3, set(), ({2}, {2})))
+    assert implies(k, Cmi(3, {1}, ({2}, {2})))
 
 
 def test_implies_matches_sub_cmi_and_is_reflexive():
     pairs = [
-        (CHAIN, Cmi(5, {1}, ({2}, {2}))),
-        (Cmi(3, set(), ({1}, {2})), Cmi(3, {3}, ({1}, {2}))),
-        (Cmi(3, set(), ({1, 2}, {3})), Cmi(3, set(), ({1}, {2}))),
+        (CHAIN, Cmi(5, {1}, ({2}, {2})), True),
+        (Cmi(3, set(), ({1}, {2})), Cmi(3, {3}, ({1}, {2})), False),
+        (Cmi(3, set(), ({1, 2}, {3})), Cmi(3, set(), ({1}, {2})), False),
     ]
-    for a, b in pairs:
-        assert implies(a, b) == is_sub_cmi(a, b)
+    for a, b, verdict in pairs:
+        assert implies(a, b) == verdict
         assert implies(a, a) and implies(b, b)
 
 
@@ -229,18 +219,13 @@ def test_equivalent_examples():
     assert not equivalent(Cmi(3, set(), ({1}, {2})), Cmi(3, set(), ({1}, {2}, {3})))
 
 
-def test_set_implies_requires_premises():
-    with pytest.raises(ValueError, match="premise"):
-        set_implies([], [Cmi(3, set(), ())])
-
-
-def test_set_implies_each_conclusion_needs_a_premise():
+def test_implies_each_conclusion_from_its_own_premise():
     p1 = Cmi(4, set(), ({1}, {2}, {3}))
     p2 = Cmi(4, set(), ({1}, {4}))
-    # Each conclusion follows from one premise (a different one each).
-    assert set_implies([p1, p2], [Cmi(4, set(), ({1, 2}, {3})), Cmi(4, set(), ({1}, {4}))])
-    assert not set_implies([p1, p2], [Cmi(4, set(), ({2}, {4}))])
-    assert set_implies([p1], [])
+    assert implies(p1, Cmi(4, set(), ({1, 2}, {3})))
+    assert implies(p2, Cmi(4, set(), ({1}, {4})))
+    assert not implies(p1, Cmi(4, set(), ({2}, {4})))
+    assert not implies(p2, Cmi(4, set(), ({2}, {4})))
 
 
 def test_decompose_running_example():
