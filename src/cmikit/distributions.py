@@ -31,11 +31,11 @@ Assignment = tuple[int, ...]
 TOLERANCE = 1e-9
 
 
-#: Marginal tables one distribution keeps, its full pmf included.  All 2**8
-#: marginals of a distribution over up to 8 variables fit (a planted oracle
-#: distribution holds 58-103 after its 24 queries), so only wider ones ever
-#: drop back to the full table.  That bounds what a long-lived distribution,
-#: such as a memoised witness template over 64 variables, holds.
+#: Marginal tables one distribution keeps, its full pmf included, and also
+#: the ``is_valid`` verdicts it keeps.  All 2**8 marginals of a distribution
+#: over up to 8 variables fit (a planted oracle distribution holds 58-103
+#: after its 24 queries), so only wider ones drop back to the full table.
+#: That bounds what a long-lived one, such as a witness template, holds.
 MARGINAL_CACHE_SIZE = 256
 
 
@@ -124,7 +124,7 @@ class JointDistribution:
     point to its ``Fraction``.
     """
 
-    __slots__ = ("n", "alphabet_sizes", "pmf", "_weights", "_denominator", "_width", "_counts", "_live")
+    __slots__ = ("n", "alphabet_sizes", "pmf", "_weights", "_denominator", "_width", "_counts", "_live", "_verdicts")
 
     def __init__(self, alphabet_sizes: Sequence[int], pmf: Mapping[Assignment, Fraction]) -> None:
         sizes = tuple(map(index, alphabet_sizes))
@@ -176,6 +176,7 @@ class JointDistribution:
         # holds a bit that is set in some code and clear in another.
         diff, ones = reduce(or_, weights) ^ reduce(and_, weights), (1 << width) - 1
         self._live = diff if width == 1 else sum(1 << i for i in range(n) if diff >> width * i & ones)
+        self._verdicts: dict[tuple[int, ...], bool] = {}  # is_valid's, by erased shape
 
     def _mask(self, indices: Iterable[int]) -> int:
         return _mask_of(sorted(map(index, indices)), self.n, "variable index")
@@ -300,6 +301,12 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     a block it empties contributes a factor ``c(y)`` that cancels one power of
     ``c(y)``, so it is dropped; at most one block left holds trivially.  A
     witness template's check thus reads only marginals of its 1-3 pivots.
+
+    The verdict thus depends only on ``p`` and the erased shape ``(C, R, *parts)``,
+    which ``p`` memoises (at most ``MARGINAL_CACHE_SIZE`` shapes, then it drops
+    back to empty).  The walk reads the joint table first, then each ``C|block``,
+    then ``C``: each sums out of a smaller cached table, to the same integer
+    counts in the full table's first-occurrence order, so ``j_value`` is unmoved.
     """
     require_matching_arity(p, k)
     c, live = canonicalize(k), p._live  # the degenerate form's masks are all empty
@@ -308,17 +315,24 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     blocks = [rep, rep, *parts] if rep else parts
     if len(blocks) <= 1:
         return True
-    joint_mask = cond | rep | sum(parts)  # the parts are disjoint
-    scale = {y: cy ** (len(blocks) - 1) for y, cy in p._marginal_counts(cond).items()}
+    verdict = p._verdicts.get(key := (cond, rep, *parts))
+    if verdict is not None:
+        return verdict
+    joint = p._marginal_counts(cond | rep | sum(parts))  # the parts are disjoint
     lookups = [(_fields(cond | b, p._width), p._marginal_counts(cond | b)) for b in blocks]
-    cond_field = _fields(cond, p._width)
-    for code, czy in p._marginal_counts(joint_mask).items():
+    scale = {y: cy ** (len(blocks) - 1) for y, cy in p._marginal_counts(cond).items()}
+    cond_field, verdict = _fields(cond, p._width), True
+    for code, czy in joint.items():
         rhs = 1
         for field, counts in lookups:
             rhs *= counts[code & field]
         if czy * scale[code & cond_field] != rhs:
-            return False
-    return True
+            verdict = False
+            break
+    if len(p._verdicts) >= MARGINAL_CACHE_SIZE:
+        p._verdicts = {}
+    p._verdicts[key] = verdict
+    return verdict
 
 
 #: Most variables ``random_distribution`` samples over.

@@ -8,8 +8,9 @@ template and its pivots.  The planned distribution is checked against the
 exact validity oracle on both statements before it is returned, and a plan
 that fails that check is an internal error.  That check erases the constant
 variables, so it costs what the 1-3 pivots cost, whatever the ground set.
-Template distributions are memoised, so one object and its cached marginals
-serve every pair that plans the same template at the same pivots.
+Template distributions are memoised, so one object, its cached marginals and
+its ``is_valid`` verdicts (at most 256, by erased shape) serve every pair that
+plans the same template at the same pivots.
 """
 
 from __future__ import annotations

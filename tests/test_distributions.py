@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from cmikit import (
     Cmi,
     JointDistribution,
     TOLERANCE,
+    canonicalize,
     cond_entropy,
     cond_mutual_info,
     entropy,
@@ -23,6 +26,7 @@ from cmikit import (
     random_distribution,
     render_distribution,
 )
+from cmikit.distributions import MARGINAL_CACHE_SIZE
 
 UNIFORM_BIT = JointDistribution((2,), {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
 COPY2 = JointDistribution(
@@ -349,3 +353,97 @@ def test_j_value_sums_its_terms_in_written_block_order():
         for block in k.blocks:
             expected += ref_h(block)
         assert j_value(p, k).hex() == (expected + 0.0).hex()
+
+
+def fresh_copy(p):
+    """The same pmf in a new object, with no cached marginal and no memoised verdict."""
+    return JointDistribution(p.alphabet_sizes, p.pmf)
+
+
+# x1, x2 and c are independent uniform bits; x3 = x5 = c and x4 = x1 ^ x2.
+MEMO = JointDistribution(
+    (2,) * 5, {(a, b, c, a ^ b, c): Fraction(1, 8) for a in (0, 1) for b in (0, 1) for c in (0, 1)}
+)
+
+
+@pytest.mark.parametrize(
+    "holds, fails",
+    [
+        pytest.param(Cmi(5, {5}, ({1, 3}, {2, 3})), Cmi(5, {5}, ({1, 4}, {2, 4})), id="rep"),
+        pytest.param(Cmi(5, {5}, ({3}, {1, 2})), Cmi(5, {5}, ({4}, {1, 2})), id="first-part"),
+        pytest.param(Cmi(5, {5}, ({1}, {2, 3})), Cmi(5, {5}, ({1}, {2, 4})), id="last-part"),
+        pytest.param(Cmi(5, set(), ({1}, {2})), Cmi(5, {4}, ({1}, {2})), id="cond"),
+    ],
+)
+def test_verdict_memo_tells_apart_shapes_that_differ_in_one_place(holds, fails):
+    # In canonical form each pair differs only in its repeated set, in its
+    # first or last part, or in its condition, and every variable is live.  A
+    # memo key that left that out would give the second statement asked the
+    # first one's verdict.
+    for first, second in ((holds, fails), (fails, holds)):
+        p = fresh_copy(MEMO)
+        for k in (first, second, first, second):
+            assert is_valid(p, k) == is_valid(fresh_copy(MEMO), k) == (k is holds)
+        assert len(p._verdicts) == 2
+
+
+def test_verdict_memo_stays_bounded_and_agrees_across_threads():
+    p = random_distribution(8, (2,) * 8, seed=8, mass_grain=64)
+    assert all(len(p.marginal([i])) == 2 for i in range(1, 9))  # nothing is erased
+    rng = random.Random(8)
+    shapes, sizes = set(), []
+    for _ in range(1000):
+        k = random_cmi(rng, 8)
+        assert is_valid(p, k) == is_valid(fresh_copy(p), k)
+        c = canonicalize(k)
+        if len(c.parts) + 2 * bool(c.repeated) >= 2:  # fewer blocks hold without a walk
+            shapes.add((c.cond, c.repeated, c.parts))
+        sizes.append(len(p._verdicts))
+    assert len(shapes) > MARGINAL_CACHE_SIZE
+    assert max(sizes) <= MARGINAL_CACHE_SIZE
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it dropped back at least once
+    # Four threads share one distribution: most calls add a verdict or a
+    # marginal while others read them, and the memo drops back under them.
+    shared = random_distribution(8, (2,) * 8, seed=9, mass_grain=64)
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                k = random_cmi(rng, 8)
+                assert is_valid(shared, k) == is_valid(fresh_copy(shared), k)
+        except Exception as exc:  # reported below, with the thread's seed
+            errors.append((seed, repr(exc)))
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_j_value_is_bit_identical_whatever_was_asked_before():
+    # Every marginal keeps its keys in first-occurrence order of the full
+    # table, whichever cached table it was summed out of, so the float sums
+    # do not depend on the queries a distribution answered earlier.
+    rng = random.Random(11)
+    for seed in range(300):
+        n = rng.randint(2, 8)
+        p = random_distribution(n, [rng.randint(1, 4) for _ in range(n)], seed, rng.choice((3, 7, 64, 256)))
+        used = fresh_copy(p)
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.5:
+                is_valid(used, random_cmi(rng, n))
+            else:
+                entropy(used, {i for i in range(1, n + 1) if rng.random() < 0.5})
+        for _ in range(4):
+            k = random_cmi(rng, n, 5)
+            assert j_value(used, k).hex() == j_value(fresh_copy(p), k).hex()
