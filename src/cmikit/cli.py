@@ -245,12 +245,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Subcommand(argparse.ArgumentParser):
+    # An option the subcommand does not take is reported against its own usage line.
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmikit",
         description="decision engine and exact oracle for conditional mutual independence",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     # The subcommands are composed from these parents and share their Action
     # objects, so a set_defaults on a dest that a parent defines reaches them all.
     one, two, many, sampled, out = (argparse.ArgumentParser(add_help=False) for _ in range(5))

@@ -12,13 +12,13 @@ each read of a public ``frozenset`` field builds fresh, equal sets from them.
 Equality, hashing, ``canonicalize`` and one clause function read the masks; the
 clause function names the first failing clause of the sub-CMI test and the
 witness template and pivots it plans.  ``implies`` asks whether none fails.
+A statement computes its canonical form once, on first use; it is freed with the statement.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
 from operator import index
 
 IndexSet = frozenset[int]
@@ -113,19 +113,25 @@ class Cmi(_Frozen):
     hashing read.  Each read of ``cond`` or ``blocks`` builds fresh frozensets.
     """
 
-    __slots__ = ("n", "_cond", "_written", "_blocks")
+    __slots__ = ("n", "_cond", "_written", "_blocks", "_canon")  # _canon: None until canonicalize
     _fields = ("n", "cond", "blocks")
 
     def __init__(self, n: int, cond: Iterable[int] = frozenset(), blocks: Iterable[Iterable[int]] = ()) -> None:
         _check_ground(n)
         cond_mask = _mask_of(cond, n, "conditioning set contains index")
         written = tuple(_mask_of(b, n, "block contains index") for b in blocks)
-        self._fill(n, cond_mask, written, tuple(sorted(written)))
+        self._fill(n, cond_mask, written, tuple(sorted(written)), None)
 
     @classmethod
     def _from_masks(cls, n: int, cond: int, blocks: Sequence[int]) -> Cmi:
-        """Build from masks inside ``1..n``; blocks keep the given order."""
-        return cls.__new__(cls)._fill(n, cond, tuple(blocks), tuple(sorted(blocks)))
+        """Build from masks inside ``1..n``; blocks keep the given order.  Every parse pays this: no ``_fill`` loop."""
+        k, set_ = cls.__new__(cls), object.__setattr__
+        set_(k, "n", n)
+        set_(k, "_cond", cond)
+        set_(k, "_written", tuple(blocks))
+        set_(k, "_blocks", tuple(sorted(blocks)))
+        set_(k, "_canon", None)
+        return k
 
     cond = property(lambda self: _view(self._cond))
     blocks = property(lambda self: tuple(map(_view, self._written)))
@@ -221,18 +227,18 @@ def is_pure(k: Cmi) -> bool:
     return all(b and not b & k._cond for b in k._written)
 
 
-#: Canonical forms kept by ``canonicalize``: a bound, so long runs over fresh
-#: statements keep memory flat, well above the 1,077 classes over n=5.
-CANONICAL_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=CANONICAL_CACHE_SIZE)
 def canonicalize(k: Cmi) -> CanonicalCmi:
     """Normal form whose structural equality decides statement equivalence.
 
     On the masks: ``pure_form``, then the indices found in two or more blocks
-    (the repeated set) are split off the parts.
+    (the repeated set) are split off the parts.  Computed once per statement.
     """
+    if k._canon is None:
+        object.__setattr__(k, "_canon", _canonical_form(k))
+    return k._canon
+
+
+def _canonical_form(k: Cmi) -> CanonicalCmi:
     free = ~k._cond
     blocks = [b & free for b in k._blocks if b & free]
     if len(blocks) <= 1:

@@ -502,6 +502,35 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, command, unknown",
+    [
+        (["witness", "I(1 ; 2)", "I(1 ; 2 | 3)", "--n", "3", "--verify"], "witness", "--verify"),
+        (["check", "I(1 ; 2)", "--n", "3", "--dist", "d.txt", "--seed", "1"], "check", "--seed 1"),
+        (["canon", "I(1 ; 2)", "--n", "3", "--out", "c.txt"], "canon", "--out c.txt"),
+        (["canon", "I(1 ; 2)", "extra", "--n", "3"], "canon", "extra"),
+    ],
+)
+def test_unknown_options_are_reported_against_the_subcommand(capsys, argv, command, unknown):
+    # The usage line shown lists what the subcommand does take.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: cmikit {command} [-h] --n N")
+    assert err.endswith(f"cmikit {command}: error: unrecognized arguments: {unknown}\n")
+
+
+def test_unknown_options_before_the_subcommand_are_reported_at_the_top_level(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "canon", "I(1 ; 2)", "--n", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cmikit [-h] {canon,")
+    assert err.endswith("cmikit: error: unrecognized arguments: --bogus\n")
+
+
 def test_color_gated_on_tty_and_environment(monkeypatch):
     class FakeTty:
         def isatty(self):

@@ -90,8 +90,8 @@ def loose_text(rng: random.Random, mutations: list[str], max_rows: int = 300) ->
         elif kind == "duplicate row":
             j = rng.randrange(i + 1)
             rows.insert(i + 1, {"symbols": list(rows[j]["symbols"]), "prob": rows[j]["prob"]})
-        elif kind == "symbol out of range":
-            row["symbols"][v] = spell(rng, sizes[v] + rng.randint(0, 3))
+        elif kind == "symbol out of range":  # past n after "too many symbols": use the last size
+            row["symbols"][v] = spell(rng, sizes[min(v, n - 1)] + rng.randint(0, 3))
         elif kind == "superscript symbol":
             row["symbols"][v] = "²"
         elif kind == "long symbol":

@@ -33,6 +33,28 @@ def test_census_verifies_every_planned_witness_at_n3(capsys):
     ) in out
 
 
+def test_census_at_n4_prints_its_whole_report(capsys):
+    # Every verdict and template counts here: a canonical-form change that moves
+    # one of them changes this report.
+    assert load("implication_census").main(["--n", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "canonical classes over n=4, max_blocks=3: 181\n"
+        "ordered pairs: 32580, implication edges: 4775\n"
+        "witness templates for the failures:\n"
+        "  SINGLE 13314\n"
+        "  COPY2  13281\n"
+        "  COPY3  988\n"
+        "  XOR    222\n"
+        "failing clause x witness template:\n"
+        "                                             SINGLE   COPY2   COPY3     XOR\n"
+        "  condition not contained                      4132    9836     988       0\n"
+        "  repeated set not covered                     9182       0       0       0\n"
+        "  residual part outside the premise's parts       0    2443       0       0\n"
+        "  condition sandwich violated                     0      40       0     222\n"
+        "  two residual parts sharing a premise part       0     962       0       0\n"
+    )
+
+
 def test_oracle_crosscheck_finds_no_mismatch(capsys):
     assert load("oracle_crosscheck").main(["--trials", "300"]) == 0
     assert capsys.readouterr().out.endswith(

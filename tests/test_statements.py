@@ -1,11 +1,17 @@
 """Frozen examples for the statement algebra: normal forms, implication, transforms."""
 
+import copy
+import gc
+import pickle
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from samplers import wide_pairs
+from samplers import random_cmi, wide_pairs
 from cmikit import (
     CanonicalCmi,
     Cmi,
@@ -81,8 +87,46 @@ def test_canonicalize_few_blocks_is_degenerate():
     assert CanonicalCmi.degenerate_form(4).as_cmi() == Cmi(4, set(), ())
 
 
-def test_canonicalize_cache_is_bounded():
-    assert canonicalize.cache_info().maxsize is not None
+def test_canonical_form_is_kept_by_its_statement_and_freed_with_it():
+    # No cache outlives the statements: once they are dropped, so are their forms.
+    rng = random.Random(63)
+    for _ in range(5000):
+        canonicalize(random_cmi(rng, 63))
+    gc.collect()
+    assert sum(type(o) is CanonicalCmi and o.n == 63 for o in gc.get_objects()) == 0
+    k = random_cmi(rng, 63)
+    assert canonicalize(k) is canonicalize(k)
+
+
+def test_threads_canonicalize_shared_statements_consistently():
+    rng = random.Random(300)
+    shared = [random_cmi(rng, 12) for _ in range(300)]
+    expected = [canonicalize(Cmi(k.n, k.cond, k.blocks)) for k in shared]
+    results, errors = {}, []
+
+    def work(offset):
+        try:  # each thread walks the list from its own starting point
+            order = range(offset, offset + len(shared))
+            results[offset] = {i % len(shared): canonicalize(shared[i % len(shared)]) for i in order}
+        except Exception as exc:  # reported below, with the thread's offset
+            errors.append((offset, repr(exc)))
+
+    threads = [threading.Thread(target=work, args=(offset,)) for offset in (0, 75, 150, 225)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 4
+    for forms in results.values():
+        assert [forms[i] for i in range(len(shared))] == expected
+    assert [canonicalize(k) for k in shared] == expected
 
 
 def test_canonicalize_drops_lone_leftover_part():
@@ -372,7 +416,7 @@ def test_cmi_constructor_reports_the_first_failed_check():
 @pytest.mark.parametrize(
     "value, names",
     [
-        (Cmi(3, {1}, ({2}, {3})), ("n", "cond", "blocks", "_cond", "_blocks")),
+        (Cmi(3, {1}, ({2}, {3})), ("n", "cond", "blocks", "_cond", "_blocks", "_canon")),
         (
             CanonicalCmi(4, {1}, {2}, ({3}, {4})),
             ("n", "cond", "repeated", "parts", "degenerate", "_cond", "_rep", "_parts"),
@@ -390,12 +434,20 @@ def test_value_classes_are_immutable(value, names):
 
 
 def test_value_classes_copy_and_pickle():
-    import copy
-    import pickle
-
     for value in (Cmi(3, {1}, ({2}, {2}, set())), CanonicalCmi(4, {1}, {2}, ({3}, {4}))):
         for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert clone == value and repr(clone) == repr(value) and hash(clone) == hash(value)
+
+
+def test_canonicalized_statements_copy_and_pickle():
+    # The stored canonical form is no field: clones compare, print and
+    # canonicalize like the statement.
+    k = Cmi(5, {1}, ({1, 2}, {2, 3}, {4}, {5}))
+    form, text = canonicalize(k), repr(k)
+    for clone in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+        assert clone == k and repr(clone) == text and hash(clone) == hash(k)
+        assert canonicalize(clone) == form
+    assert pickle.dumps(k) == pickle.dumps(Cmi(5, {1}, ({1, 2}, {2, 3}, {4}, {5})))
 
 
 def test_value_classes_refuse_new_attributes():
