@@ -181,6 +181,9 @@ CASES = [
     ["witness", "I(1 ; 2)", "I(1 ; 2 | 3)", "--n", "3", "--verify"],
     ["check", "I(1 ; 2)", "--n", "3", "--dist", "<tmp>/xor.txt", "--seed", "1"],
     ["canon", "I(1 ; 2)", "--n", "3", "--out", "<tmp>/canon.txt"],
+    # statement syntax errors, each at its token
+    *(["canon", text, "--n", "5"] for text in ("J(1)", "I 12", "I(1 ;; 2)", "I(1,)", "I({)", "I(|)")),
+    ["implies", "I(1 ; 2)", "I(1 ; {2})", "--n", "3"],
 ]
 
 

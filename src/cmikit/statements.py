@@ -187,8 +187,14 @@ class CanonicalCmi(_Frozen):
 
     @classmethod
     def _from_masks(cls, n: int, cond: int, rep: int, parts: Iterable[int], degenerate: bool = False) -> CanonicalCmi:
-        """Build from masks that already meet the invariants; parts in any order."""
-        return cls.__new__(cls)._fill(n, degenerate, cond, rep, tuple(sorted(parts, key=_mask_key)))
+        """Build from masks that meet the invariants, parts in any order.  Every canonicalize pays this: no ``_fill`` loop."""
+        c, set_ = cls.__new__(cls), object.__setattr__
+        set_(c, "n", n)
+        set_(c, "degenerate", degenerate)
+        set_(c, "_cond", cond)
+        set_(c, "_rep", rep)
+        set_(c, "_parts", tuple(sorted(parts, key=_mask_key)))
+        return c
 
     cond = property(lambda self: _view(self._cond))
     repeated = property(lambda self: _view(self._rep))

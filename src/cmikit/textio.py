@@ -4,7 +4,9 @@ Statements use the surface syntax ``I(1,2 ; 3 | 4)``: semicolon-separated
 index blocks, an optional ``|``-prefixed conditioning list and ``{}`` for an
 explicitly empty block.  Its tokens are runs of decimal digits
 (``str.isdecimal``, so ``٣`` is 3) and single other characters; whitespace
-(``str.isspace``) separates tokens and is otherwise ignored.  Distributions use
+(``str.isspace``) separates tokens and is otherwise ignored.  ``parse_cmi``
+reads the tokens in one loop that builds each block's mask as it goes, and
+finds an error's line and column only when it raises.  Distributions use
 a line format with a ``vars:`` header declaring alphabet sizes followed by one
 ``symbols : probability`` row per support point; ``#`` starts a comment.
 Rendering is canonical (sorted, lowest terms), so rendered text is stable.  A
@@ -19,7 +21,7 @@ import re
 from itertools import chain, cycle, repeat
 from operator import itemgetter, lshift, lt
 
-from .statements import MAX_GROUND_SET, Cmi, _indices, _mask_key
+from .statements import MAX_GROUND_SET, Cmi, _indices
 
 
 class ParseError(ValueError):
@@ -34,60 +36,15 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"\d+|\S")
 
 
-class _Tokens:
-    """A statement's tokens, ``""`` last for end of input, with 1-based line/column errors."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _TOKEN.findall(text) + [""]
-        self.i = 0
-
-    def error(self, message: str) -> ParseError:
-        # Positions are only needed here, so they are found again on error.
-        at = ([m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)])[self.i]
-        return ParseError(self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at), message)
-
-    def peek(self) -> str:
-        return self.tokens[self.i]
-
-    def accept(self, what: str) -> bool:
-        hit = self.tokens[self.i] == what
-        self.i += hit
-        return hit
-
-    def expect(self, what: str) -> None:
-        if not self.accept(what):
-            raise self.error(f"expected {what!r}, found {self.found()}")
-
-    def found(self) -> str:
-        token = self.tokens[self.i]
-        return repr(token[0]) if token else "end of input"
+def _error(text: str, i: int, message: str) -> ParseError:
+    """The error at the ``i``-th token, or at the end of input past the last, with its 1-based line and column."""
+    # Positions are only needed here, so they are found again on error.
+    at = ([m.start() for m in _TOKEN.finditer(text)] + [len(text)])[i]
+    return ParseError(text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at), message)
 
 
-def _parse_indices(tok: _Tokens, n: int) -> int:
-    """Mask of ``INDEX , ... , INDEX``, each checked against the ground set at its token."""
-    mask = 0
-    while True:
-        token = tok.peek()
-        if not token.isdecimal():
-            raise tok.error(f"expected a variable index, found {tok.found()}")
-        try:
-            value = int(token)
-        except ValueError:  # more digits than Python converts (4,300 by default)
-            raise tok.error(f"number too long ({len(token)} digits)") from None
-        if not 1 <= value <= n:
-            raise tok.error(f"index {value} outside the ground set 1..{n}")
-        mask |= 1 << (value - 1)
-        tok.i += 1
-        if not tok.accept(","):
-            return mask
-
-
-def _parse_block(tok: _Tokens, n: int) -> int:
-    if not tok.accept("{"):
-        return _parse_indices(tok, n)
-    tok.expect("}")
-    return 0
+def _found(token: str) -> str:
+    return repr(token[0]) if token else "end of input"
 
 
 def parse_cmi(text: str, n: int) -> Cmi:
@@ -95,28 +52,68 @@ def parse_cmi(text: str, n: int) -> Cmi:
 
     Blocks are kept in written order (they are a multiset, but block-positional
     transforms care); indices are validated against the ground set at their
-    source position.
+    source position.  One loop reads the tokens, ``""`` last for end of input:
+    each turn reads an index (or a ``{}`` block) and the token after it, and
+    ORs the index into the mask of the block or condition being read.
     """
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}, got {n}")
-    tok = _Tokens(text)
-    tok.expect("I")
-    tok.expect("(")
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    if tokens[0] != "I" or tokens[1] != "(":
+        i = tokens[0] == "I"
+        raise _error(text, i, f"expected {'I('[i]!r}, found {_found(tokens[i])}")
     blocks: list[int] = []
-    if tok.peek() not in ("|", ")"):
-        blocks.append(_parse_block(tok, n))
-        while tok.accept(";"):
-            blocks.append(_parse_block(tok, n))
-    cond = _parse_indices(tok, n) if tok.accept("|") else 0
-    tok.expect(")")
-    if tok.peek():
-        raise tok.error("unexpected text after statement")
-    return Cmi._from_masks(n, cond, blocks)
+    mask, i, token = 0, 2, tokens[2]
+    in_cond = token == "|"  # "I(|" starts the condition; "I()" reads nothing
+    i += in_cond
+    while token != ")" or in_cond:
+        token = tokens[i]
+        if token.isdecimal():
+            try:
+                value = int(token)
+            except ValueError:  # more digits than Python converts (4,300 by default)
+                raise _error(text, i, f"number too long ({len(token)} digits)") from None
+            if not 0 < value <= n:
+                raise _error(text, i, f"index {value} outside the ground set 1..{n}")
+            mask |= 1 << (value - 1)
+            i += 1
+            token = tokens[i]
+            if token == ",":
+                i += 1
+                continue
+        elif token == "{" and not in_cond and tokens[i - 1] != ",":  # "{}" is a whole, empty block
+            i += 1
+            if tokens[i] != "}":
+                raise _error(text, i, f"expected '}}', found {_found(tokens[i])}")
+            i += 1
+            token = tokens[i]
+        else:
+            raise _error(text, i, f"expected a variable index, found {_found(token)}")
+        if in_cond:  # the condition ends the statement
+            break
+        blocks.append(mask)
+        mask = 0
+        if token == "|":
+            in_cond = True
+        elif token != ";":
+            break
+        i += 1
+    if token != ")":
+        raise _error(text, i, f"expected ')', found {_found(token)}")
+    if tokens[i + 1]:
+        raise _error(text, i + 1, "unexpected text after statement")
+    return Cmi._from_masks(n, mask, blocks)  # mask: the condition, 0 when none was read
 
 
 def render_cmi(k: Cmi) -> str:
-    """Canonical statement text: blocks sorted, indices ascending, single spacing."""
-    blocks = " ; ".join(",".join(map(str, _indices(b))) or "{}" for b in sorted(k._blocks, key=_mask_key))
+    """Canonical statement text: blocks sorted, indices ascending, single spacing.
+
+    Each block is decoded once; sorting the index tuples by value and then,
+    stably, by length is the ``_mask_key`` order of the masks.
+    """
+    decoded = sorted(sorted(map(_indices, k._blocks)), key=len)
+    blocks = " ; ".join(",".join(map(str, b)) or "{}" for b in decoded)
     if k._cond:
         blocks += (" | " if blocks else "| ") + ",".join(map(str, _indices(k._cond)))
     return f"I({blocks})"

@@ -1,22 +1,28 @@
-"""``parse_distribution`` against the row-by-row reference parser.
+"""The library's text parsers against the reference parsers in ``textio_reference``.
 
-The library parser checks every row rule on whole columns and only walks the
-rows to locate an error; ``textio_reference.parse_distribution`` is the parser
-as it was, one loop that checks each row in turn.  On loosely spelled texts
-of up to 300 rows, some with one or two late mutations, both must give an
-equal distribution (in the same order) or the same ``ParseError``: line,
-column and message.
+``parse_cmi`` reads a statement's tokens in one loop; the reference
+``textio_reference.parse_cmi`` is the token walk it replaced.  On loosely
+spelled statements, some with one or two mutations, both must give an equal
+statement with its blocks in the same written order, or the same
+``ParseError``: line, column and message.
+
+``parse_distribution`` checks every row rule on whole columns and only walks
+the rows to locate an error; ``textio_reference.parse_distribution`` is the
+parser as it was, one loop that checks each row in turn.  On loosely spelled
+texts of up to 300 rows, some with one or two late mutations, both must give
+an equal distribution (in the same order) or the same ``ParseError``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from hypothesis import given, settings, strategies as st
 
 import textio_reference
-from cmikit import ParseError, parse_distribution
+from cmikit import ParseError, parse_cmi, parse_distribution
 
 # Whitespace of several kinds: U+3000 ideographic space, U+001C file separator,
 # U+0085 next line, and a carriage return (as left by a \r\n ending).
@@ -170,3 +176,96 @@ def test_differential_texts_reach_every_outcome():
     assert accepted >= 25
     assert {"expected", "bad", "symbol", "missing", "unexpected", "malformed", "probability", "duplicate",
             "number"} <= messages
+
+
+# Statement tokens that a mutation inserts or drops, and trailing texts.
+PUNCTUATION = (",", ";", "|", "{", "}", "(", ")", "I")
+STATEMENT_MUTATIONS = (
+    *(f"insert {p}" for p in PUNCTUATION),
+    *(f"drop {p}" for p in PUNCTUATION),
+    "index out of range",
+    "long index",
+    "trailing text",
+)
+
+
+def loose_statement(rng: random.Random, mutations: list[str]) -> tuple[str, int]:
+    """Statement text over ``1..n`` and ``n``: zero to four blocks, some ``{}``, a
+    condition or none (the empty one), indices in several scripts with leading
+    zeros, tokens split by mixed whitespace and newlines; then each mutation."""
+    n = rng.choice((1, 2, 3, 5, 8, rng.randint(1, 64)))
+    index = lambda: spell(rng, rng.randint(1, n))
+    tokens = ["I", "("]
+    for b in range(rng.choice((0, 1, 2, 2, 3, 4))):
+        tokens += [";"] * (b > 0)
+        if rng.random() < 0.15:
+            tokens += ["{", "}"]
+        else:
+            tokens += [index()]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                tokens += [",", index()]
+    if rng.random() < 0.5:
+        tokens += ["|", index()] + [t for _ in range(rng.choice((0, 1, 2))) for t in (",", index())]
+    tokens += [")"]
+    for kind in mutations:
+        digits = [i for i, t in enumerate(tokens) if t[0].isdecimal()] or [len(tokens)]
+        at = rng.choice(digits)
+        if kind.startswith("insert "):
+            tokens.insert(rng.randint(0, len(tokens)), kind[-1])
+        elif kind.startswith("drop "):
+            if kind[-1] in tokens:
+                del tokens[rng.choice([i for i, t in enumerate(tokens) if t == kind[-1]])]
+        elif kind == "index out of range":
+            tokens[at:at + 1] = [spell(rng, rng.choice((0, n + 1, n + rng.randint(2, 70))))]
+        elif kind == "long index":
+            tokens[at:at + 1] = [LONG]
+        else:
+            tokens.append(rng.choice(("x", ";", ")", "I(1)", "\u0661", "#")))
+    text = space(rng, 0) * (rng.random() < 0.3)
+    for left, right in zip(tokens, tokens[1:] + [""]):
+        gap = rng.choice(("", "", " ", " ", "\n", "\u3000", "\x1c")) + space(rng, 0) * (rng.random() < 0.2)
+        text += left + (gap or " " * (left[0].isdecimal() and right[:1].isdecimal()))
+    return text, n
+
+
+def statement_result(parse, text, n):
+    """What ``parse`` makes of ``text``: the statement and its written block order,
+    or the error's line, column and message."""
+    try:
+        k = parse(text, n)
+    except ParseError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+    return ("ok", k, k._written)
+
+
+def same_statement(text, n):
+    want = statement_result(textio_reference.parse_cmi, text, n)
+    assert statement_result(parse_cmi, text, n) == want, (text[:300], n)
+    return want
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(STATEMENT_MUTATIONS), max_size=2))
+def test_parse_cmi_matches_the_token_walk_reference(seed, mutations):
+    same_statement(*loose_statement(random.Random(seed), mutations))
+
+
+def test_statement_texts_reach_every_outcome():
+    # As for distributions: every mutation must be seen to raise, the unmutated
+    # texts must parse, and every error message of the parser must be met.
+    rng = random.Random(19)
+    messages = set()
+    for kind in STATEMENT_MUTATIONS:
+        errors = 0
+        for _ in range(20):
+            result = same_statement(*loose_statement(rng, [kind]))
+            errors += result[0] == "error"
+            if result[0] == "error":
+                messages.add(re.sub(r"[1-9]\d*", "N", result[3].split(": ", 1)[1].split(", found")[0]))
+        assert errors >= 5, kind
+    assert all(same_statement(*loose_statement(rng, []))[0] == "ok" for _ in range(200))
+    assert messages == {
+        "expected 'I'", "expected '('", "expected '}'", "expected ')'", "expected a variable index",
+        "index 0 outside the ground set N..N", "index N outside the ground set N..N",
+        "number too long (N digits)", "unexpected text after statement",
+    }, messages

@@ -58,6 +58,11 @@ def test_parse_cmi_error_positions():
         ("I(1 ", 5, 1, 5, "expected ')', found end of input"),
         ("I(1 ;\n  2 ; \u0663,\n   x)", 5, 3, 4, "expected a variable index, found 'x'"),
         ("I(1\u3000;\u001c2 x)", 3, 1, 9, "expected ')', found 'x'"),
+        ("I(|)", 5, 1, 4, "expected a variable index, found ')'"),
+        ("I(1 | 2 ; 3)", 5, 1, 9, "expected ')', found ';'"),
+        ("I({1})", 5, 1, 4, "expected '}', found '1'"),
+        ("I(1 2)", 5, 1, 5, "expected ')', found '2'"),
+        ("I(1 ; {} ;)", 5, 1, 11, "expected a variable index, found ')'"),
     ]
     for text, n, line, column, fragment in cases:
         with pytest.raises(ParseError) as exc:

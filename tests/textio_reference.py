@@ -1,4 +1,10 @@
-"""The row-by-row distribution parser, kept as a reference for ``parse_distribution``.
+"""Reference parsers for the differential tests in ``test_parse_differential.py``.
+
+``parse_cmi`` below is the statement parser as it was before the single-loop
+one: a token walk with ``peek``/``accept``/``expect`` and one helper call per
+block and per index list.  The differential test holds the library parser to
+it: an equal statement with its blocks in the same written order, or a
+``ParseError`` with the same line, column and message.
 
 ``parse_distribution`` below is the parser as it was before the column-wise
 accept path: one loop over the lines that checks, packs and stores each row
@@ -13,7 +19,91 @@ import math
 import re
 from collections.abc import Iterable
 
-from cmikit import JointDistribution, ParseError
+from cmikit import Cmi, JointDistribution, ParseError
+from cmikit.statements import MAX_GROUND_SET
+
+_TOKEN = re.compile(r"\d+|\S")
+
+
+class _Tokens:
+    """A statement's tokens, ``""`` last for end of input, with 1-based line/column errors."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = _TOKEN.findall(text) + [""]
+        self.i = 0
+
+    def error(self, message: str) -> ParseError:
+        # Positions are only needed here, so they are found again on error.
+        at = ([m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)])[self.i]
+        return ParseError(self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at), message)
+
+    def peek(self) -> str:
+        return self.tokens[self.i]
+
+    def accept(self, what: str) -> bool:
+        hit = self.tokens[self.i] == what
+        self.i += hit
+        return hit
+
+    def expect(self, what: str) -> None:
+        if not self.accept(what):
+            raise self.error(f"expected {what!r}, found {self.found()}")
+
+    def found(self) -> str:
+        token = self.tokens[self.i]
+        return repr(token[0]) if token else "end of input"
+
+
+def _parse_indices(tok: _Tokens, n: int) -> int:
+    """Mask of ``INDEX , ... , INDEX``, each checked against the ground set at its token."""
+    mask = 0
+    while True:
+        token = tok.peek()
+        if not token.isdecimal():
+            raise tok.error(f"expected a variable index, found {tok.found()}")
+        try:
+            value = int(token)
+        except ValueError:  # more digits than Python converts (4,300 by default)
+            raise tok.error(f"number too long ({len(token)} digits)") from None
+        if not 1 <= value <= n:
+            raise tok.error(f"index {value} outside the ground set 1..{n}")
+        mask |= 1 << (value - 1)
+        tok.i += 1
+        if not tok.accept(","):
+            return mask
+
+
+def _parse_block(tok: _Tokens, n: int) -> int:
+    if not tok.accept("{"):
+        return _parse_indices(tok, n)
+    tok.expect("}")
+    return 0
+
+
+def parse_cmi(text: str, n: int) -> Cmi:
+    """Parse statement syntax ``I(BLOCK ; ... ; BLOCK | COND)`` over ``{1..n}``.
+
+    Blocks are kept in written order (they are a multiset, but block-positional
+    transforms care); indices are validated against the ground set at their
+    source position.
+    """
+    if not 1 <= n <= MAX_GROUND_SET:
+        raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}, got {n}")
+    tok = _Tokens(text)
+    tok.expect("I")
+    tok.expect("(")
+    blocks: list[int] = []
+    if tok.peek() not in ("|", ")"):
+        blocks.append(_parse_block(tok, n))
+        while tok.accept(";"):
+            blocks.append(_parse_block(tok, n))
+    cond = _parse_indices(tok, n) if tok.accept("|") else 0
+    tok.expect(")")
+    if tok.peek():
+        raise tok.error("unexpected text after statement")
+    return Cmi._from_masks(n, cond, blocks)
+
 
 _WORD = re.compile(r"\S+")
 
