@@ -269,7 +269,7 @@ def j_value(p: JointDistribution, k: Cmi) -> float:
     non-negative); statements with at most one block give literally ``0.0``.
     """
     require_matching_arity(p, k)
-    if len(k._blocks) <= 1:
+    if len(k._written) <= 1:
         return 0.0
     c = k._cond
     total = -(_entropy(p, reduce(or_, k._written, c)) - _entropy(p, c))

@@ -7,12 +7,14 @@ forms, the residual construction, exact decision procedures for equivalence
 and single-premise implication, and the sound statement transforms (weakening,
 decomposition into a chain of pairwise conditional independencies).
 
-Index sets are stored only as ``int`` bitmasks (index ``i`` is bit ``i - 1``);
-each read of a public ``frozenset`` field builds fresh, equal sets from them.
-Equality, hashing, ``canonicalize`` and one clause function read the masks; the
-clause function names the first failing clause of the sub-CMI test and the
-witness template and pivots it plans.  ``implies`` asks whether none fails.
-A statement computes its canonical form once, on first use; it is freed with the statement.
+Index sets are stored only as ``int`` bitmasks (index ``i`` is bit ``i - 1``),
+blocks once, in written order; each read of a public ``frozenset`` field builds
+fresh, equal sets from them.  Each class writes its slots only in ``_from_masks``.
+Equality and hashing (blocks sorted), ``canonicalize`` and one clause function
+read the masks; the clause function names the first failing clause of the
+sub-CMI test and the witness template and pivots it plans.  ``implies`` asks
+whether none fails.  A statement computes its canonical form once, on first use;
+it is freed with the statement.
 """
 
 from __future__ import annotations
@@ -79,16 +81,18 @@ def _mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
 
 class _Frozen:
     """Immutable ``__slots__`` value; its repr and copies read ``_fields``, the
-    constructor's parameters in order."""
+    constructor's parameters in order, and equality and hashing read ``_key()``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _fill(self, *values: object) -> _Frozen:
-        """Set the slots, in ``__slots__`` order, past the write guard; returns self."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-        return self
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
@@ -109,40 +113,33 @@ class Cmi(_Frozen):
     blocks keep the order they were written in, so transforms that address
     blocks by position (``weaken``) stay well-defined.  Blocks may be empty and
     may overlap ``cond``; purity is not required at this level.  Only masks are
-    stored: ``_cond``, ``_written`` and the sorted ``_blocks``, which equality and
-    hashing read.  Each read of ``cond`` or ``blocks`` builds fresh frozensets.
+    stored: ``_cond`` and the blocks once, in ``_written``, which equality and
+    hashing sort.  Each read of ``cond`` or ``blocks`` builds fresh frozensets.
     """
 
-    __slots__ = ("n", "_cond", "_written", "_blocks", "_canon")  # _canon: None until canonicalize
+    __slots__ = ("n", "_cond", "_written", "_canon")  # _canon: None until canonicalize
     _fields = ("n", "cond", "blocks")
 
-    def __init__(self, n: int, cond: Iterable[int] = frozenset(), blocks: Iterable[Iterable[int]] = ()) -> None:
+    def __new__(cls, n: int, cond: Iterable[int] = frozenset(), blocks: Iterable[Iterable[int]] = ()) -> Cmi:
         _check_ground(n)
         cond_mask = _mask_of(cond, n, "conditioning set contains index")
-        written = tuple(_mask_of(b, n, "block contains index") for b in blocks)
-        self._fill(n, cond_mask, written, tuple(sorted(written)), None)
+        return cls._from_masks(n, cond_mask, [_mask_of(b, n, "block contains index") for b in blocks])
 
     @classmethod
     def _from_masks(cls, n: int, cond: int, blocks: Sequence[int]) -> Cmi:
-        """Build from masks inside ``1..n``; blocks keep the given order.  Every parse pays this: no ``_fill`` loop."""
-        k, set_ = cls.__new__(cls), object.__setattr__
+        """Build from masks inside ``1..n``; blocks keep the given order.  The only slot writer; ``canonicalize`` sets ``_canon``."""
+        k, set_ = object.__new__(cls), object.__setattr__
         set_(k, "n", n)
         set_(k, "_cond", cond)
         set_(k, "_written", tuple(blocks))
-        set_(k, "_blocks", tuple(sorted(blocks)))
         set_(k, "_canon", None)
         return k
 
     cond = property(lambda self: _view(self._cond))
     blocks = property(lambda self: tuple(map(_view, self._written)))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self._cond, self._blocks) == (other.n, other._cond, other._blocks)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._cond, self._blocks))
+    def _key(self) -> tuple:
+        return self.n, self._cond, tuple(sorted(self._written))
 
 
 class CanonicalCmi(_Frozen):
@@ -161,10 +158,10 @@ class CanonicalCmi(_Frozen):
     __slots__ = ("n", "degenerate", "_cond", "_rep", "_parts")  # _parts sorted by _mask_key
     _fields = ("n", "cond", "repeated", "parts", "degenerate")
 
-    def __init__(
-        self, n: int, cond: Iterable[int] = frozenset(), repeated: Iterable[int] = frozenset(),
+    def __new__(
+        cls, n: int, cond: Iterable[int] = frozenset(), repeated: Iterable[int] = frozenset(),
         parts: Iterable[Iterable[int]] = (), degenerate: bool = False
-    ) -> None:
+    ) -> CanonicalCmi:
         _check_ground(n)
         cond = _coerce_index_set(cond)
         rep = _coerce_index_set(repeated)
@@ -183,12 +180,12 @@ class CanonicalCmi(_Frozen):
             raise ValueError("a canonical form never has exactly one part")
         if not (degenerate or rep or parts):
             raise ValueError("a non-degenerate canonical form needs a repeated set or parts")
-        self._fill(n, degenerate, masks[0], masks[1], tuple(masks[2:]))
+        return cls._from_masks(n, masks[0], masks[1], masks[2:], degenerate)
 
     @classmethod
     def _from_masks(cls, n: int, cond: int, rep: int, parts: Iterable[int], degenerate: bool = False) -> CanonicalCmi:
-        """Build from masks that meet the invariants, parts in any order.  Every canonicalize pays this: no ``_fill`` loop."""
-        c, set_ = cls.__new__(cls), object.__setattr__
+        """Build from masks that meet the invariants, parts in any order.  The only slot writer."""
+        c, set_ = object.__new__(cls), object.__setattr__
         set_(c, "n", n)
         set_(c, "degenerate", degenerate)
         set_(c, "_cond", cond)
@@ -200,15 +197,8 @@ class CanonicalCmi(_Frozen):
     repeated = property(lambda self: _view(self._rep))
     parts = property(lambda self: tuple(map(_view, self._parts)))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self.degenerate, self._cond, self._rep, self._parts) == (
-                other.n, other.degenerate, other._cond, other._rep, other._parts
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.degenerate, self._cond, self._rep, self._parts))
+    def _key(self) -> tuple:
+        return self.n, self.degenerate, self._cond, self._rep, self._parts
 
     @classmethod
     def degenerate_form(cls, n: int) -> "CanonicalCmi":
@@ -246,7 +236,7 @@ def canonicalize(k: Cmi) -> CanonicalCmi:
 
 def _canonical_form(k: Cmi) -> CanonicalCmi:
     free = ~k._cond
-    blocks = [b & free for b in k._blocks if b & free]
+    blocks = [b & free for b in k._written if b & free]
     if len(blocks) <= 1:
         return CanonicalCmi.degenerate_form(k.n)
     seen = rep = 0

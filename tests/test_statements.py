@@ -416,7 +416,7 @@ def test_cmi_constructor_reports_the_first_failed_check():
 @pytest.mark.parametrize(
     "value, names",
     [
-        (Cmi(3, {1}, ({2}, {3})), ("n", "cond", "blocks", "_cond", "_blocks", "_canon")),
+        (Cmi(3, {1}, ({2}, {3})), ("n", "cond", "blocks", "_cond", "_written", "_canon")),
         (
             CanonicalCmi(4, {1}, {2}, ({3}, {4})),
             ("n", "cond", "repeated", "parts", "degenerate", "_cond", "_rep", "_parts"),

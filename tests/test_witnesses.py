@@ -16,6 +16,7 @@ from cmikit import (
     Cmi,
     JointDistribution,
     Witness,
+    canonicalize,
     entropy,
     implies,
     is_valid,
@@ -167,6 +168,15 @@ def test_witness_equality_is_field_wise_and_it_is_unhashable():
     with pytest.raises(AttributeError):
         del w.direction
     assert w == same
+
+
+def test_value_classes_never_compare_across_classes():
+    # The shared equality checks the class before it compares keys.
+    k, k2 = Cmi(3, set(), ({1}, {2})), Cmi(3, set(), ({1}, {3}))
+    values = (k, canonicalize(k), witness_non_implication(k, k2))
+    for a, b in itertools.permutations(values, 2):
+        assert a.__eq__(b) is NotImplemented
+        assert a != b and not a == b
 
 
 def test_non_equivalence_prefers_forward_direction():
