@@ -5,8 +5,9 @@ Each line gives the exit code, a SHA-256 over stdout, stderr and the ``--out``
 file (empty when none was written), and the invocation.  The temporary
 directory that holds the distribution and output files is written as
 ``<tmp>`` everywhere, and ``COLUMNS`` is fixed so that ``--help`` text does not
-depend on the terminal.  To check that a change keeps every CLI byte, run the
-sweep under each tree and compare::
+depend on the terminal.  The output is committed as
+``tests/golden/cli_sweep.txt``, which ``tests/test_scripts.py`` compares line
+by line.  To compare two trees directly, run the sweep under each::
 
     PYTHONPATH=old/src python scripts/cli_sweep.py > old.txt
     PYTHONPATH=new/src python scripts/cli_sweep.py > new.txt

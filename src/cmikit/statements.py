@@ -13,8 +13,9 @@ fresh, equal sets from them.  Each class writes its slots only in ``_from_masks`
 Equality and hashing (blocks sorted), ``canonicalize`` and one clause function
 read the masks; the clause function names the first failing clause of the
 sub-CMI test and the witness template and pivots it plans.  ``implies`` asks
-whether none fails.  A statement computes its canonical form once, on first use;
-it is freed with the statement.
+whether none fails; a "no" is kept in a one-pair slot that the clause function
+returns, unrun, for those very objects (``is``).  A statement computes its
+canonical form once, on first use; it is freed with the statement.
 """
 
 from __future__ import annotations
@@ -301,6 +302,9 @@ COPY2 = "COPY2"
 COPY3 = "COPY3"
 XOR = "XOR"
 
+#: ``(k, k2, result)`` of the last failing ``implies``, matched by identity only.
+_last_no: tuple = (None, None, None)
+
 
 def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, str | None, tuple[int, ...]]:
     """The first failing clause of "k implies k2", its witness template and pivots.
@@ -311,8 +315,12 @@ def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, str | None, tuple[int, ...]]:
     mentions outside those residual parts, and any two indices from distinct
     residual parts in distinct parts of k.  A failed clause names the template,
     and the pivots to place it at, of a distribution that satisfies k and
-    violates k2.  ``HOLDS`` comes with no template and no pivots.
+    violates k2.  ``HOLDS`` comes with no template and no pivots.  For the very
+    objects (``is``) of the last failing ``implies``, its stored result is returned.
+    The residual parts are sorted only when k's repeated set meets k2's parts.
     """
+    if (last := _last_no)[0] is k and last[1] is k2:
+        return last[2]
     _require_same_ground(k, k2)
     c2 = canonicalize(k2)
     if c2.degenerate:
@@ -329,24 +337,23 @@ def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, str | None, tuple[int, ...]]:
             if bit & rep2:
                 return CONDITION, SINGLE, (m0,)
             return CONDITION, COPY2, (m0, _low(rep2))
-        hit = next((j for j, part in enumerate(parts2) if bit & part), None)
-        if hit is None:
+        if not bit & sum(parts2):  # m0 is in none of k2's (disjoint) parts
             return CONDITION, COPY3, (m0, _low(parts2[0]), _low(parts2[1]))
-        return CONDITION, COPY2, (m0, _low(parts2[1 if hit == 0 else 0]))
+        return CONDITION, COPY2, (m0, _low(parts2[1 if bit & parts2[0] else 0]))
     if rep2 & ~c._rep:
         return REPEATED, SINGLE, (_low(rep2 & ~c._rep),)
     rcond, _, left = _residual_masks(c, c2)  # no repeated set: k's covers k2's
     if not left:
         return HOLDS, None, ()
-    left.sort(key=_mask_key)
+    if c._rep & sum(parts2):  # else left is c2's parts, already sorted
+        left.sort(key=_mask_key)
     # Parts are pairwise disjoint, so their sum is their union.
     pset, ppset = sum(c._parts), sum(left)
     outside = ppset & ~pset
     if outside:
         if c.degenerate:  # no parts at all: tie k2's first two parts
             return OUTSIDE, COPY2, (_low(left[0]), _low(left[1]))
-        j1 = next(j for j, part in enumerate(left) if part & outside & -outside)
-        return OUTSIDE, COPY2, (_low(outside), _low(left[1 if j1 == 0 else 0]))
+        return OUTSIDE, COPY2, (_low(outside), _low(left[1 if left[0] & outside & -outside else 0]))
     extra = rcond & ~(c._cond | pset)  # it never meets the residual parts
     if extra:
         a, b = left[0] & -left[0], left[1] & -left[1]
@@ -363,9 +370,14 @@ def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, str | None, tuple[int, ...]]:
 def implies(k: Cmi, k2: Cmi) -> bool:
     """Single-premise implication: every distribution satisfying k satisfies k2.
 
-    Sound and complete: no clause of the sub-CMI test fails.
+    Sound and complete: no clause of the sub-CMI test fails.  A "no" keeps the pair
+    and its plan in a one-pair slot for the witness asked next; a "yes" leaves it.
     """
-    return _sub_cmi_clause(k, k2)[0] == HOLDS
+    global _last_no
+    if (result := _sub_cmi_clause(k, k2))[0] == HOLDS:
+        return True
+    _last_no = k, k2, result
+    return False
 
 
 def equivalent(k: Cmi, k2: Cmi) -> bool:

@@ -4,13 +4,14 @@ When ``implies(k, k2)`` is false there is always a small counterexample built
 from one or two independent uniform bits placed at a handful of pivot
 variables (every other variable pinned to 0).  There is no separate planner:
 the implication test's clause function names the first failing clause, the
-template and its pivots.  The planned distribution is checked against the
-exact validity oracle on both statements before it is returned, and a plan
-that fails that check is an internal error.  That check erases the constant
-variables, so it costs what the 1-3 pivots cost, whatever the ground set.
-Template distributions are memoised, so one object, its cached marginals and
-its ``is_valid`` verdicts (at most 256, by erased shape) serve every pair that
-plans the same template at the same pivots.
+template and its pivots; after a failing ``implies`` on the same two objects
+that plan is a lookup, not a second run.  The planned distribution is checked
+against the exact validity oracle on both statements before it is returned, and
+a plan that fails that check is an internal error.  That check erases the
+constant variables, so it costs what the 1-3 pivots cost, whatever the ground
+set.  Template distributions are memoised, so one object, its cached marginals
+and its ``is_valid`` verdicts (at most 256, by erased shape) serve every pair
+that plans the same template at the same pivots.
 """
 
 from __future__ import annotations

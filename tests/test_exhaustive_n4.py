@@ -9,6 +9,8 @@ conclusion.  ``implies`` must agree with the sweep, and every failed
 implication must get its planned witness, a family member that separates
 the pair.  A digest of every witness's template and pivots pins them to
 those of the frozenset-based planner that the clause function replaced.
+A second digest pins the clause function's whole result on every ordered
+pair of ``enumerate_canonical(4, 4)``, the pairs where it holds included.
 """
 
 import hashlib
@@ -23,6 +25,10 @@ N = 4
 
 #: sha256 of the lines "a b template pivots" over the failing pairs, in order.
 WITNESS_DIGEST = "d1474097e35ed6a2ae33c552954204b57b2606ec503ff49f2b56235550396089"
+
+#: sha256 of ``repr(_sub_cmi_clause(a, b))``, concatenated over all ordered
+#: pairs of ``enumerate_canonical(4, 4)`` in order, self-pairs included.
+CLAUSE_DIGEST = "b66f76fa9571dd3b2294de3814f1c5c03f66d8468cb9c518ece60379b2ebb522"
 
 # One member per template and pivot set.
 FAMILY = template_family(range(1, N + 1))
@@ -55,3 +61,13 @@ def test_every_n4_pair_agrees_with_the_oracle_sweep_and_gets_its_planned_witness
     assert edges == 4775
     assert templates == {"SINGLE": 13314, "COPY2": 13281, "COPY3": 988, "XOR": 222}
     assert digest.hexdigest() == WITNESS_DIGEST
+
+
+def test_every_n4_clause_result_is_pinned_holds_included():
+    statements = [c.as_cmi() for c in enumerate_canonical(N, 4)]
+    assert len(statements) == 182
+    digest = hashlib.sha256()
+    for ka in statements:
+        for kb in statements:
+            digest.update(repr(_sub_cmi_clause(ka, kb)).encode())
+    assert digest.hexdigest() == CLAUSE_DIGEST

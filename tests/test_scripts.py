@@ -1,6 +1,7 @@
 """The experiment scripts under ``scripts/``, run in-process through their ``main``."""
 
 import ast
+import hashlib
 import importlib.util
 from functools import cache
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @cache
@@ -55,6 +57,17 @@ def test_census_at_n4_prints_its_whole_report(capsys):
     )
 
 
+def test_census_at_n5_keeps_its_report_byte_for_byte(capsys):
+    # 1,158,852 ordered pairs: every verdict, and a verified witness for every
+    # failure, behind one digest of the whole report.
+    assert load("implication_census").main(["--n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("canonical classes over n=5, max_blocks=3: 1077\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7b1a70aa4f9968dd7bdf22599727b185025470eea6f20d581a650bdbff985fa2"
+    )
+
+
 def test_oracle_crosscheck_finds_no_mismatch(capsys):
     assert load("oracle_crosscheck").main(["--trials", "300"]) == 0
     assert capsys.readouterr().out.endswith(
@@ -91,6 +104,21 @@ def test_cli_sweep_covers_every_subcommand_and_exit_code(capsys):
     assert all(len(digest) == 64 for _, digest, _ in rows)
     commands = {label.split()[0] for _, _, label in rows if label}
     assert {"canon", "equiv", "implies", "witness", "check", "entropy", "decompose"} <= commands
+
+
+def test_cli_sweep_matches_its_golden_line_by_line(capsys):
+    # Every CLI byte of the sweep, invocation by invocation.  A change that
+    # moves one on purpose edits tests/golden/cli_sweep.txt, line by line.
+    assert load("cli_sweep").main([]) == 0
+    got = capsys.readouterr().out.splitlines()
+    want = (GOLDEN / "cli_sweep.txt").read_text(encoding="utf-8").splitlines()
+    differ = [
+        f"{old.split(' ', 2)[-1]!r}: {old.split(' ', 2)[:2]} -> {new.split(' ', 2)[:2]}"
+        for old, new in zip(want, got)
+        if old != new
+    ]
+    assert differ == []
+    assert len(got) == len(want)
 
 
 def test_cold_cli_pairs_every_call_kind_under_two_trees(capsys):

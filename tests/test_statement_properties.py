@@ -20,6 +20,7 @@ from cmikit import (
     pure_form,
     residual,
 )
+from cmikit.statements import _mask_key, _residual_masks
 
 
 @st.composite
@@ -150,6 +151,19 @@ def test_mask_engine_matches_frozenset_reference(pair):
     assert implies(k, k2) == ref_is_sub_cmi(k, k2)
     r, ref = residual(k, k2), ref_residual(k, k2)
     assert (r, r.cond, r.blocks) == (ref, ref.cond, ref.blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_pairs())
+@example((Cmi(64, set(), ({1}, {2, 3}, {64})), Cmi(64, set(), ({2, 64}, {1}, {3}))))
+def test_residual_parts_are_sorted_when_the_premise_repeats_none_of_them(pair):
+    # The clause function sorts the residual parts only when k's repeated set
+    # meets k2's parts; otherwise they are k2's stored parts, in their order.
+    c, c2 = map(canonicalize, pair)
+    left = _residual_masks(c, c2)[2]
+    if not c._rep & sum(c2._parts):
+        assert left in ([], list(c2._parts))
+        assert left == sorted(left, key=_mask_key)
 
 
 # --- exhaustive desk-scale sweeps -------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from samplers import random_cmi, wide_pairs
+import cmikit.statements
 from cmikit import (
     CanonicalCmi,
     Cmi,
@@ -25,7 +26,9 @@ from cmikit import (
     pure_form,
     residual,
     weaken,
+    witness_non_implication,
 )
+from cmikit.statements import _sub_cmi_clause
 
 # The running example used throughout: blocks overlap the condition and each
 # other, so every normalization stage does real work.
@@ -270,6 +273,109 @@ def test_implies_each_conclusion_from_its_own_premise():
     assert implies(p2, Cmi(4, set(), ({1}, {4})))
     assert not implies(p1, Cmi(4, set(), ({2}, {4})))
     assert not implies(p2, Cmi(4, set(), ({2}, {4})))
+
+
+def count_clause_bodies(monkeypatch) -> list:
+    """Patch the clause body's first call so that each run of the body is counted."""
+    runs = []
+    check = cmikit.statements._require_same_ground
+
+    def counted(k, k2):
+        runs.append((k, k2))
+        check(k, k2)
+
+    monkeypatch.setattr(cmikit.statements, "_require_same_ground", counted)
+    return runs
+
+
+# A failing pair, a pair with the same premise and another plan, and a "yes".
+NO_PAIR = Cmi(4, set(), ({1}, {2})), Cmi(4, {3}, ({1}, {2}))
+OTHER_NO = Cmi(4, {3}, ({1, 2}, {4}))
+YES = Cmi(4, set(), ({2}, {1}))
+
+
+def test_a_witness_after_a_failing_implies_reuses_its_plan(monkeypatch):
+    k, k2 = NO_PAIR
+    runs = count_clause_bodies(monkeypatch)
+    assert not implies(k, k2)
+    assert len(runs) == 1
+    w = witness_non_implication(k, k2)
+    assert len(runs) == 1
+    assert w.direction[0] is k and w.direction[1] is k2
+    fresh = _sub_cmi_clause(copy.copy(k), copy.copy(k2))
+    assert len(runs) == 2
+    assert fresh == ("condition sandwich violated", "XOR", (1, 2, 3))
+    assert (w.template, w.pivot_indices) == fresh[1:]
+
+
+def test_the_plan_slot_matches_both_statements_by_identity(monkeypatch):
+    k, k2 = NO_PAIR
+    assert not implies(k, k2)
+    stored = cmikit.statements._last_no
+    runs = count_clause_bodies(monkeypatch)
+    # Equal copies of either statement, or the same premise with another
+    # conclusion, run the clauses again: the slot matches by identity only.
+    for a, b in ((copy.copy(k), copy.copy(k2)), (k, copy.copy(k2)), (copy.copy(k), k2), (k, OTHER_NO)):
+        assert a == k
+        assert _sub_cmi_clause(a, b) == _sub_cmi_clause(copy.copy(a), copy.copy(b))
+    assert len(runs) == 8
+    assert _sub_cmi_clause(k, OTHER_NO) != stored[2]
+    assert cmikit.statements._last_no is stored
+    assert _sub_cmi_clause(k, k2) is stored[2]
+    assert len(runs) == 9
+
+
+def test_a_yes_leaves_the_plan_slot_as_it_was():
+    k, k2 = NO_PAIR
+    assert not implies(k, k2)
+    stored = cmikit.statements._last_no
+    assert stored[0] is k and stored[1] is k2
+    assert implies(k, YES) and implies(YES, k) and implies(k, k)
+    assert cmikit.statements._last_no is stored
+    assert not implies(k, OTHER_NO)
+    assert cmikit.statements._last_no[:2] == (k, OTHER_NO)
+
+
+def test_threads_interleave_verdicts_and_witnesses_on_their_own_pairs():
+    forms = enumerate_canonical(4, 3)
+    keys = random.Random(301).sample([(a, b) for a in range(len(forms)) for b in range(len(forms))], 2000)
+    plans = {(a, b): _sub_cmi_clause(forms[a].as_cmi(), forms[b].as_cmi()) for a, b in keys}
+    results, errors = {}, []
+
+    def work(seed):
+        # Each thread decides its own statement objects, in its own order.
+        order = random.Random(seed).sample(keys, len(keys))
+        pairs = [(forms[a].as_cmi(), forms[b].as_cmi()) for a, b in order]
+        try:
+            out = []
+            for key, (k, k2) in zip(order, pairs):
+                if implies(k, k2):
+                    out.append((key, ("holds", None, ())))
+                    continue
+                w = witness_non_implication(k, k2)
+                assert w.direction[0] is k and w.direction[1] is k2, f"witness for another pair at {key}"
+                out.append((key, (plans[key][0], w.template, w.pivot_indices)))
+            results[seed] = out
+        except Exception as exc:  # reported below, with the thread's seed
+            errors.append((seed, repr(exc)))
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 4
+    for out in results.values():
+        assert [got for key, got in out if got != plans[key]] == []
+        assert sorted(key for key, _ in out) == sorted(keys)
+    assert 200 < sum(plan[0] == "holds" for plan in plans.values()) < 1800
 
 
 def test_decompose_running_example():
