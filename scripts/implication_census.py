@@ -2,13 +2,13 @@
 """Census of the implication order between canonical statement classes.
 
 Enumerates every canonical form over a small ground set, decides implication
-for all ordered pairs with the sub-CMI clause function (``implies`` is true
-exactly when it says "holds"), and for each failed implication builds the
-separating distribution, tallying which counterexample template it used and,
-against the failing clause, a clause x template histogram.  Useful for
-eyeballing how the implication lattice and the witness case split behave as
-the ground set grows.  Each witness is built once, from the template and
-pivots that the failing clause planned, and verified exactly on both
+for all ordered pairs with ``implies``, and for each failed implication builds
+the separating distribution with ``witness_non_implication``, tallying which
+counterexample template it used and, against the failing clause, a clause x
+template histogram.  Useful for eyeballing how the implication lattice and the
+witness case split behave as the ground set grows.  The sub-CMI clause function
+runs once per pair: the witness and the clause label read the plan that the
+failing ``implies`` stored.  Each witness is verified exactly on both
 statements; a plan that fails that check raises.
 """
 
@@ -18,9 +18,8 @@ import argparse
 import sys
 from collections import Counter
 
-from cmikit import TEMPLATES, enumerate_canonical, render_cmi
-from cmikit.statements import CONDITION, HOLDS, OUTSIDE, REPEATED, SANDWICH, SHARED, _sub_cmi_clause
-from cmikit.witnesses import _try
+from cmikit import TEMPLATES, enumerate_canonical, implies, render_cmi, witness_non_implication
+from cmikit.statements import CONDITION, OUTSIDE, REPEATED, SANDWICH, SHARED, _sub_cmi_clause
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -52,15 +51,15 @@ def main(argv: list[str] | None = None) -> int:
         for b, kb in enumerate(statements):
             if a == b:
                 continue
-            clause, template, pivots = _sub_cmi_clause(ka, kb)
-            if clause == HOLDS:
+            if implies(ka, kb):
                 edges += 1
                 if args.show_edges:
                     print(f"  {render_cmi(ka)}  =>  {render_cmi(kb)}")
             else:
-                _try(ka, kb, template, pivots)  # raises if the planned witness fails
+                # Both read the plan that ``implies`` stored for this very pair.
+                template = witness_non_implication(ka, kb).template  # raises if it fails
                 templates[template] += 1
-                by_clause[clause, template] += 1
+                by_clause[_sub_cmi_clause(ka, kb)[0], template] += 1
 
     pairs = len(statements) * (len(statements) - 1)
     print(f"ordered pairs: {pairs}, implication edges: {edges}")

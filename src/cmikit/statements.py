@@ -10,12 +10,13 @@ decomposition into a chain of pairwise conditional independencies).
 Index sets are stored only as ``int`` bitmasks (index ``i`` is bit ``i - 1``),
 blocks once, in written order; each read of a public ``frozenset`` field builds
 fresh, equal sets from them.  Each class writes its slots only in ``_from_masks``.
-Equality and hashing (blocks sorted), ``canonicalize`` and one clause function
-read the masks; the clause function names the first failing clause of the
-sub-CMI test and the witness template and pivots it plans.  ``implies`` asks
-whether none fails; a "no" is kept in a one-pair slot that the clause function
-returns, unrun, for those very objects (``is``).  A statement computes its
-canonical form once, on first use; it is freed with the statement.
+Equality and hashing (blocks sorted) read the masks, and so do ``canonicalize``,
+``residual`` and one clause function, through one normaliser (``_normal``); the
+clause function names the first failing sub-CMI clause and the witness template
+and pivots it plans.  ``implies`` asks whether none fails; a "no" is kept in a
+one-pair slot that the clause function returns, unrun, for those very objects
+(``is``).  A statement computes its canonical form once, on first use; it is
+freed with the statement.
 """
 
 from __future__ import annotations
@@ -181,17 +182,18 @@ class CanonicalCmi(_Frozen):
             raise ValueError("a canonical form never has exactly one part")
         if not (degenerate or rep or parts):
             raise ValueError("a non-degenerate canonical form needs a repeated set or parts")
-        return cls._from_masks(n, masks[0], masks[1], masks[2:], degenerate)
+        return cls._from_masks(n, masks[0], masks[1], masks[2:])
 
     @classmethod
-    def _from_masks(cls, n: int, cond: int, rep: int, parts: Iterable[int], degenerate: bool = False) -> CanonicalCmi:
-        """Build from masks that meet the invariants, parts in any order.  The only slot writer."""
+    def _from_masks(cls, n: int, cond: int, rep: int, parts: Iterable[int]) -> CanonicalCmi:
+        """Build from masks that meet the invariants, parts in any order.  The only slot writer, ``degenerate`` included."""
         c, set_ = object.__new__(cls), object.__setattr__
+        parts = tuple(sorted(parts, key=_mask_key))
         set_(c, "n", n)
-        set_(c, "degenerate", degenerate)
+        set_(c, "degenerate", not (rep or parts))
         set_(c, "_cond", cond)
         set_(c, "_rep", rep)
-        set_(c, "_parts", tuple(sorted(parts, key=_mask_key)))
+        set_(c, "_parts", parts)
         return c
 
     cond = property(lambda self: _view(self._cond))
@@ -204,7 +206,7 @@ class CanonicalCmi(_Frozen):
     @classmethod
     def degenerate_form(cls, n: int) -> "CanonicalCmi":
         _check_ground(n)
-        return cls._from_masks(n, 0, 0, (), True)
+        return cls._from_masks(n, 0, 0, ())
 
     def as_cmi(self) -> Cmi:
         """The statement this canonical form denotes, in its general block shape
@@ -235,22 +237,27 @@ def canonicalize(k: Cmi) -> CanonicalCmi:
     return k._canon
 
 
+def _normal(cond: int, rep: int, blocks: Iterable[int], drop: int) -> tuple[int, int, list[int]]:
+    """Canonical ``(cond, repeated, parts)`` masks, all empty when degenerate, of
+    ``(cond, <rep, rep, *blocks>)`` with ``drop`` erased from each block and emptied
+    blocks left out, in order; ``cond``, ``rep`` and the erased blocks are disjoint."""
+    keep = ~drop
+    parts = [b & keep for b in blocks if b & keep]
+    if len(parts) >= 2:
+        return cond, rep, parts
+    # Once the repeated indices are pinned to the condition, a lone leftover part
+    # constrains nothing (its independence from the repeated pair is automatic).
+    return (cond, rep, []) if rep else (0, 0, [])
+
+
 def _canonical_form(k: Cmi) -> CanonicalCmi:
     free = ~k._cond
     blocks = [b & free for b in k._written if b & free]
-    if len(blocks) <= 1:
-        return CanonicalCmi.degenerate_form(k.n)
     seen = rep = 0
     for b in blocks:
         rep |= seen & b
         seen |= b
-    parts = [b & ~rep for b in blocks if b & ~rep]
-    if rep and len(parts) <= 1:
-        # Once the repeated indices are pinned to the condition, a lone
-        # leftover part constrains nothing (its independence from the repeated
-        # pair is automatic), so it is dropped.
-        parts = []
-    return CanonicalCmi._from_masks(k.n, k._cond, rep, parts)
+    return CanonicalCmi._from_masks(k.n, *_normal(k._cond, rep, blocks, rep))
 
 
 def is_degenerate(k: Cmi) -> bool:
@@ -263,16 +270,6 @@ def _require_same_ground(k: Cmi, k2: Cmi) -> None:
         raise ValueError(f"ground-set sizes differ: {k.n} != {k2.n}")
 
 
-def _residual_masks(c: CanonicalCmi, c2: CanonicalCmi) -> tuple[int, int, list[int]]:
-    """``(cond, repeated, parts)`` of the residual of ``c2`` on ``c``, all empty when it is
-    degenerate.  Parts keep ``c2``'s order, and there are none or at least two."""
-    d = c2._rep & ~c._rep
-    left = [p & ~c._rep for p in c2._parts if p & ~c._rep]
-    if not d and len(left) <= 1:
-        return 0, 0, []
-    return c2._cond & ~c._rep, d, left if len(left) >= 2 else []
-
-
 def residual(k: Cmi, k2: Cmi) -> Cmi:
     """The statement "k2 conditioning on k": k2 with k's repeated indices erased.
 
@@ -283,7 +280,8 @@ def residual(k: Cmi, k2: Cmi) -> Cmi:
     form.
     """
     _require_same_ground(k, k2)
-    cond, d, left = _residual_masks(canonicalize(k), canonicalize(k2))
+    drop, c2 = canonicalize(k)._rep, canonicalize(k2)
+    cond, d, left = _normal(c2._cond & ~drop, c2._rep & ~drop, c2._parts, drop)
     return Cmi._from_masks(k.n, cond, ((d, d) if d else ()) + tuple(left))
 
 
@@ -342,7 +340,7 @@ def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, str | None, tuple[int, ...]]:
         return CONDITION, COPY2, (m0, _low(parts2[1 if bit & parts2[0] else 0]))
     if rep2 & ~c._rep:
         return REPEATED, SINGLE, (_low(rep2 & ~c._rep),)
-    rcond, _, left = _residual_masks(c, c2)  # no repeated set: k's covers k2's
+    rcond, _, left = _normal(c2._cond & ~c._rep, 0, parts2, c._rep)  # k's repeated set covers k2's
     if not left:
         return HOLDS, None, ()
     if c._rep & sum(parts2):  # else left is c2's parts, already sorted

@@ -5,13 +5,14 @@ from one or two independent uniform bits placed at a handful of pivot
 variables (every other variable pinned to 0).  There is no separate planner:
 the implication test's clause function names the first failing clause, the
 template and its pivots; after a failing ``implies`` on the same two objects
-that plan is a lookup, not a second run.  The planned distribution is checked
-against the exact validity oracle on both statements before it is returned, and
-a plan that fails that check is an internal error.  That check erases the
-constant variables, so it costs what the 1-3 pivots cost, whatever the ground
-set.  Template distributions are memoised, so one object, its cached marginals
-and its ``is_valid`` verdicts (at most 256, by erased shape) serve every pair
-that plans the same template at the same pivots.
+that plan is a lookup, not a second run.  ``witness_non_equivalence`` asks
+``implies`` first and builds with ``witness_non_implication`` too.  The planned
+distribution is checked against the exact validity oracle on both statements
+before it is returned, and a plan that fails that check is an internal error.
+That check erases the constant variables, so it costs what the 1-3 pivots cost,
+whatever the ground set.  Template distributions are memoised, so one object,
+its cached marginals and its ``is_valid`` verdicts (at most 256, by erased
+shape) serve every pair that plans the same template at the same pivots.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import index
 
 from .distributions import JointDistribution, is_valid
 from .statements import COPY2, COPY3, HOLDS, SINGLE, XOR
-from .statements import Cmi, _Frozen, _sub_cmi_clause
+from .statements import Cmi, _Frozen, _sub_cmi_clause, implies
 
 TEMPLATES = (SINGLE, COPY2, COPY3, XOR)
 
@@ -90,7 +91,11 @@ class Witness(_Frozen):
     __hash__ = None  # a JointDistribution is unhashable, so a Witness is too
 
 
-def _try(k: Cmi, k2: Cmi, template: str, pivots: tuple[int, ...]) -> Witness:
+def witness_non_implication(k: Cmi, k2: Cmi) -> Witness:
+    """A distribution satisfying ``k`` but not ``k2``; raises if ``k`` implies ``k2``."""
+    clause, template, pivots = _sub_cmi_clause(k, k2)
+    if clause == HOLDS:
+        raise ValueError("implication holds; no separating distribution exists")
     d = template_distribution(k.n, template, pivots)
     if is_valid(d, k) and not is_valid(d, k2):
         return Witness(d, (k, k2), template, pivots)
@@ -99,19 +104,10 @@ def _try(k: Cmi, k2: Cmi, template: str, pivots: tuple[int, ...]) -> Witness:
     )
 
 
-def witness_non_implication(k: Cmi, k2: Cmi) -> Witness:
-    """A distribution satisfying ``k`` but not ``k2``; raises if ``k`` implies ``k2``."""
-    clause, template, pivots = _sub_cmi_clause(k, k2)
-    if clause == HOLDS:
-        raise ValueError("implication holds; no separating distribution exists")
-    return _try(k, k2, template, pivots)
-
-
 def witness_non_equivalence(k: Cmi, k2: Cmi) -> Witness:
     """A distribution satisfying one statement but not the other, preferring ``k``
     over ``k2``; raises if they are equivalent (each implies the other)."""
     for premise, conclusion in ((k, k2), (k2, k)):
-        clause, template, pivots = _sub_cmi_clause(premise, conclusion)
-        if clause != HOLDS:
-            return _try(premise, conclusion, template, pivots)
+        if not implies(premise, conclusion):
+            return witness_non_implication(premise, conclusion)
     raise ValueError("the statements are equivalent; no separating distribution exists")

@@ -13,6 +13,7 @@ A second digest pins the clause function's whole result on every ordered
 pair of ``enumerate_canonical(4, 4)``, the pairs where it holds included.
 """
 
+import copy
 import hashlib
 import itertools
 from collections import Counter
@@ -48,8 +49,9 @@ def test_every_n4_pair_agrees_with_the_oracle_sweep_and_gets_its_planned_witness
         elif not separating:
             edges += 1
         else:
-            _, template, pivots = _sub_cmi_clause(ka, kb)
-            w = witness_non_implication(ka, kb)
+            w = witness_non_implication(ka, kb)  # reads the plan ``implies`` stored
+            # An independent run of the clause function, on fresh equal objects.
+            _, template, pivots = _sub_cmi_clause(copy.copy(ka), copy.copy(kb))
             j = member_of[w.template, frozenset(w.pivot_indices)]
             if (w.template, w.pivot_indices) != (template, pivots) or not separating >> j & 1:
                 wrong.append((a, b, "witness"))

@@ -142,4 +142,4 @@ def test_scripts_import_only_the_census_private_names_from_cmikit():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cmikit":
                 private |= {(path.stem, a.name) for a in node.names if a.name.startswith("_")}
-    assert private == {("implication_census", "_sub_cmi_clause"), ("implication_census", "_try")}
+    assert private == {("implication_census", "_sub_cmi_clause")}

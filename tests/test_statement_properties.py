@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from samplers import random_cmi, random_weakening, relabel_cmi, wide_pairs
 from statements_reference import ref_canonicalize, ref_is_sub_cmi, ref_residual
 from cmikit import (
+    CanonicalCmi,
     Cmi,
     canonicalize,
     decompose_to_cis,
@@ -20,7 +21,7 @@ from cmikit import (
     pure_form,
     residual,
 )
-from cmikit.statements import _mask_key, _residual_masks
+from cmikit.statements import _mask_key, _normal
 
 
 @st.composite
@@ -160,10 +161,26 @@ def test_residual_parts_are_sorted_when_the_premise_repeats_none_of_them(pair):
     # The clause function sorts the residual parts only when k's repeated set
     # meets k2's parts; otherwise they are k2's stored parts, in their order.
     c, c2 = map(canonicalize, pair)
-    left = _residual_masks(c, c2)[2]
+    left = _normal(c2._cond & ~c._rep, c2._rep & ~c._rep, c2._parts, c._rep)[2]
     if not c._rep & sum(c2._parts):
         assert left in ([], list(c2._parts))
         assert left == sorted(left, key=_mask_key)
+
+
+def test_normal_matches_the_frozenset_reference_with_any_indices_erased():
+    # ``_normal`` erasing g from every set of a canonical form's general shape,
+    # for each n=4 form (the degenerate one included) and each of the 16 masks g.
+    mismatches = []
+    for c in enumerate_canonical(4, 4):
+        k = c.as_cmi()
+        for g in range(16):
+            gone = {i for i in range(1, 5) if g >> (i - 1) & 1}
+            want = ref_canonicalize(Cmi(4, k.cond - gone, [b - gone for b in k.blocks]))
+            got = CanonicalCmi._from_masks(4, *_normal(c._cond & ~g, c._rep & ~g, c._parts, g))
+            if got != want:  # equality compares the degenerate flag too
+                mismatches.append((c, g))
+    assert mismatches == []
+    assert CanonicalCmi._from_masks(3, 0, 0, ()) == CanonicalCmi.degenerate_form(3)
 
 
 # --- exhaustive desk-scale sweeps -------------------------------------------
