@@ -175,7 +175,7 @@ class JointDistribution:
         # The variables with two or more values on the support: those whose field
         # holds a bit that is set in some code and clear in another.
         diff, ones = reduce(or_, weights) ^ reduce(and_, weights), (1 << width) - 1
-        self._live = diff if width == 1 else sum(1 << i for i in range(n) if diff >> width * i & ones)
+        self._live = sum(1 << i for i in range(n) if diff >> width * i & ones)
         self._verdicts: dict[tuple[int, ...], bool] = {}  # is_valid's, by erased shape
 
     def _mask(self, indices: Iterable[int]) -> int:

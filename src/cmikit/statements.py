@@ -10,13 +10,13 @@ decomposition into a chain of pairwise conditional independencies).
 Index sets are stored only as ``int`` bitmasks (index ``i`` is bit ``i - 1``),
 blocks once, in written order; each read of a public ``frozenset`` field builds
 fresh, equal sets from them.  Each class writes its slots only in ``_from_masks``.
-Equality and hashing (blocks sorted) read the masks, and so do ``canonicalize``,
-``residual`` and one clause function, through one normaliser (``_normal``); the
-clause function names the first failing sub-CMI clause and the witness template
-and pivots it plans.  ``implies`` asks whether none fails; a "no" is kept in a
-one-pair slot that the clause function returns, unrun, for those very objects
-(``is``).  A statement computes its canonical form once, on first use; it is
-freed with the statement.
+Equality and hashing (blocks sorted) read the masks, and so do ``canonicalize``
+(one pass erases the condition and the repeated set), ``residual`` and one clause
+function, through one normaliser (``_normal``); the clause function names the
+first failing sub-CMI clause and the witness template and pivots it plans.
+``implies`` asks whether none fails; a "no" is kept in a one-pair slot that the
+clause function returns, unrun, for those very objects (``is``).  A statement
+computes its canonical form once, on first use; it is freed with the statement.
 """
 
 from __future__ import annotations
@@ -229,11 +229,18 @@ def is_pure(k: Cmi) -> bool:
 def canonicalize(k: Cmi) -> CanonicalCmi:
     """Normal form whose structural equality decides statement equivalence.
 
-    On the masks: ``pure_form``, then the indices found in two or more blocks
-    (the repeated set) are split off the parts.  Computed once per statement.
+    On the masks: the unconditioned indices found in two or more blocks form the
+    repeated set, and one ``_normal`` pass erases it and the condition from every
+    block.  Computed once per statement.
     """
     if k._canon is None:
-        object.__setattr__(k, "_canon", _canonical_form(k))
+        seen = rep = 0
+        for b in k._written:
+            rep |= seen & b
+            seen |= b
+        rep &= ~k._cond
+        canon = CanonicalCmi._from_masks(k.n, *_normal(k._cond, rep, k._written, rep | k._cond))
+        object.__setattr__(k, "_canon", canon)
     return k._canon
 
 
@@ -248,16 +255,6 @@ def _normal(cond: int, rep: int, blocks: Iterable[int], drop: int) -> tuple[int,
     # Once the repeated indices are pinned to the condition, a lone leftover part
     # constrains nothing (its independence from the repeated pair is automatic).
     return (cond, rep, []) if rep else (0, 0, [])
-
-
-def _canonical_form(k: Cmi) -> CanonicalCmi:
-    free = ~k._cond
-    blocks = [b & free for b in k._written if b & free]
-    seen = rep = 0
-    for b in blocks:
-        rep |= seen & b
-        seen |= b
-    return CanonicalCmi._from_masks(k.n, *_normal(k._cond, rep, blocks, rep))
 
 
 def is_degenerate(k: Cmi) -> bool:
@@ -436,10 +433,10 @@ def weaken(
             if i in seen:
                 raise ValueError(f"block position {i} appears in two groups")
             seen.add(i)
-    merged = tuple(frozenset().union(*(subs[i - 1] for i in a)) if a else frozenset() for a in groups)
+    merged = tuple(frozenset().union(*(subs[i - 1] for i in a)) for a in groups)
     r = _coerce_index_set(extra_cond)
     all_blocks = frozenset().union(*blocks)
-    used = frozenset().union(*merged) if merged else frozenset()
+    used = frozenset().union(*merged)
     if not r <= all_blocks - used:
         raise ValueError(
             "extra conditioning indices must come from the original blocks and avoid every merged group"

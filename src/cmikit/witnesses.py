@@ -22,11 +22,11 @@ from operator import index
 
 from .distributions import JointDistribution, is_valid
 from .statements import COPY2, COPY3, HOLDS, SINGLE, XOR
-from .statements import Cmi, _Frozen, _sub_cmi_clause, implies
-
-TEMPLATES = (SINGLE, COPY2, COPY3, XOR)
+from .statements import Cmi, _Frozen, _mask_of, _sub_cmi_clause, implies
 
 _ARITY = {SINGLE: 1, COPY2: 2, COPY3: 3, XOR: 3}
+
+TEMPLATES = tuple(_ARITY)
 
 #: Distributions kept by ``template_distribution``.  Every ordered pair of the
 #: 1,077 canonical classes over 5 variables plans one of 135 distinct
@@ -51,17 +51,11 @@ def template_distribution(n: int, template: str, pivots: tuple[int, ...]) -> Joi
         raise ValueError(f"{template} takes {_ARITY[template]} pivots, got {len(pivots)}")
     if len(set(pivots)) != len(pivots):
         raise ValueError(f"pivot indices must be distinct, got {pivots}")
-    for m in pivots:
-        if not 1 <= index(m) <= n:
-            raise ValueError(f"pivot index {m} outside the ground set 1..{n}")
+    mask = _mask_of(pivots, n, "pivot index")
     # Binary alphabets pack one bit per variable: a row's code is the mask of its
-    # 1-valued pivots.  XOR's rows are (u, v, u ^ v) in itertools.product order.
-    bits = [1 << index(m) - 1 for m in pivots]
-    if template == XOR:
-        u, v, parity = bits
-        codes = [0, v | parity, u | parity, u | v]
-    else:
-        codes = [0, sum(bits)]
+    # 1-valued pivots.  XOR's rows (u, v, u ^ v) in itertools.product order: after
+    # the zero row, each clears one pivot of the all-ones mask, in pivot order.
+    codes = [0, *(mask ^ 1 << index(m) - 1 for m in pivots)] if template == XOR else [0, mask]
     # Every row weighs the same: a uniform pmf over the rows built above.
     return JointDistribution._from_weights((2,) * n, dict.fromkeys(codes, 1), len(codes))
 

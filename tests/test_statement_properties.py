@@ -141,6 +141,13 @@ def test_mask_equality_is_multiset_equality(pair):
 @settings(max_examples=300, deadline=None)
 @given(wide_pairs())
 @example((Cmi(64, set(), ({1, 64}, {2, 63})), Cmi(64, {63}, ({1}, {64}))))
+# Shapes whose condition and repeated set are erased in one normaliser pass: a
+# conditioned index in two blocks, a block inside the condition, empty blocks
+# beside a repeated index, a conditioned index that is repeated beside another.
+@example((Cmi(64, {1}, ({1, 2}, {1, 3})), Cmi(64, {1, 2}, ({1}, {2, 3}, {4}))))
+@example((Cmi(64, {1, 2}, ({1}, {2, 3}, {4})), Cmi(64, {1}, ({1, 2}, {1, 3}))))
+@example((Cmi(64, set(), ((), {5, 6}, {6, 7}, ())), Cmi(64, {6}, ({5, 6}, {6, 7}, {5, 8}))))
+@example((Cmi(64, {6}, ({5, 6}, {6, 7}, {5, 8})), Cmi(64, set(), ((), {5, 6}, {6, 7}, ()))))
 def test_mask_engine_matches_frozenset_reference(pair):
     k, k2 = pair
     for s in (k, k2):

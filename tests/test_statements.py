@@ -404,6 +404,9 @@ def test_weaken_shrink_merge_condition():
     w = weaken(k, [{2}, {3}, {4}], [{1, 2}, {3}], {5})
     assert w == Cmi(5, {1, 5}, ({2, 3}, {4}))
     assert implies(k, w)
+    # An empty group merges to an empty block; no group at all leaves no block.
+    assert weaken(k, [{2}, {3}, {4}], [set(), {1, 2}], {5}) == Cmi(5, {1, 5}, ((), {2, 3}))
+    assert weaken(k, [{2}, {3}, {4}], []) == Cmi(5, {1}, ())
 
 
 def test_weaken_identity():

@@ -51,6 +51,10 @@ def test_template_distribution_contents():
         (1, 1, 0, 0): Fraction(1, 4),
     }
     assert xor == JointDistribution((2,) * 4, dict(xor.pmf))  # the same packed codes
+    assert list(xor.pmf) == [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 0)]  # itertools.product order
+    ends = (1,) + (0,) * 62 + (1,)
+    copy2 = template_distribution(64, "COPY2", (1, 64))
+    assert copy2 == JointDistribution((2,) * 64, {(0,) * 64: Fraction(1, 2), ends: Fraction(1, 2)})
 
 
 def test_template_distribution_validates_arguments():
@@ -63,6 +67,14 @@ def test_template_distribution_validates_arguments():
             template_distribution(3, "COPY2", (1, 1))
         with pytest.raises(ValueError, match="ground set"):
             template_distribution(2, "COPY2", (1, 3))
+        with pytest.raises(ValueError, match=r"^pivot index 3 outside the ground set 1\.\.2$"):
+            template_distribution(2, "COPY2", (3, 1))
+        with pytest.raises(ValueError, match="distinct"):  # checked before the range
+            template_distribution(2, "COPY2", (5, 5))
+        # The builder itself, past the memo: the memo is keyed by value, and
+        # (1.0, 2) == (1, 2), so once (1, 2) is cached it answers (1.0, 2) too.
+        with pytest.raises(TypeError):
+            template_distribution.__wrapped__(3, "COPY2", (1.0, 2))
 
 
 def test_template_distribution_is_memoised():
