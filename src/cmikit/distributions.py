@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import and_, floordiv, index, mul, or_
 
-from .statements import Cmi, _indices, _mask_of, canonicalize
+from .statements import Cmi, _indices, _mask_of
 
 Assignment = tuple[int, ...]
 
@@ -281,11 +281,10 @@ def j_value(p: JointDistribution, k: Cmi) -> float:
 def is_valid(p: JointDistribution, k: Cmi) -> bool:
     """Exact decision: does ``p`` satisfy the statement ``k``?
 
-    Works on the canonical form ``(C, R, <P_1..P_t>)`` through its block
-    shape ``(C, <R, R, P_1, ..., P_t>)`` (R written twice, and left out when
-    empty), with integer counts ``c`` over the common denominator.  With ``b``
-    blocks, the statement holds exactly when every support point ``(z, y)``
-    of the blocks' union, ``y`` its condition assignment, satisfies
+    Reads the statement as written, ``(C, <B_1..B_b>)`` (blocks may overlap),
+    with integer counts ``c`` over the common denominator.  It holds exactly
+    when every support point ``(z, y)`` of the blocks' union, ``y`` its
+    condition assignment, satisfies
 
         c(z, y) * c(y)^(b-1) == prod_B c(z_B, y).
 
@@ -293,32 +292,32 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     class ``y``, the left side is ``c(y)^b``; the right side is at most the
     sum over every combination of block values, which is ``c(y)^b``.  The two
     are equal only when the support fills the product of the block supports,
-    so every combination outside the support has both sides zero; for the
-    doubled R that means R takes one value per class.
+    so every combination outside the support has both sides zero; an index
+    that two blocks share then takes one value per class.
 
-    Variables constant on the support are first erased from C, R and every
-    part: a constant is a function of any condition, so no count changes, and
-    a block it empties contributes a factor ``c(y)`` that cancels one power of
-    ``c(y)``, so it is dropped; at most one block left holds trivially.  A
-    witness template's check thus reads only marginals of its 1-3 pivots.
+    Variables constant on the support are first erased from C and every
+    block, and C from every block: both are fixed by ``y``, so no count
+    changes, and a block they empty contributes a factor ``c(y)`` that
+    cancels one power of ``c(y)``, so it is dropped; at most one block left
+    holds trivially.  A witness template's check thus reads only marginals of
+    its 1-3 pivots.
 
-    The verdict thus depends only on ``p`` and the erased shape ``(C, R, *parts)``,
+    The verdict thus depends only on ``p`` and the erased shape ``(C, *blocks)``,
     which ``p`` memoises (at most ``MARGINAL_CACHE_SIZE`` shapes, then it drops
     back to empty).  The walk reads the joint table first, then each ``C|block``,
     then ``C``: each sums out of a smaller cached table, to the same integer
     counts in the full table's first-occurrence order, so ``j_value`` is unmoved.
     """
     require_matching_arity(p, k)
-    c, live = canonicalize(k), p._live  # the degenerate form's masks are all empty
-    cond, rep = c._cond & live, c._rep & live
-    parts = [q & live for q in c._parts if q & live]
-    blocks = [rep, rep, *parts] if rep else parts
+    live = p._live
+    cond, keep = k._cond & live, live & ~k._cond
+    blocks = [b & keep for b in k._written if b & keep]
     if len(blocks) <= 1:
         return True
-    verdict = p._verdicts.get(key := (cond, rep, *parts))
+    verdict = p._verdicts.get(key := (cond, *blocks))
     if verdict is not None:
         return verdict
-    joint = p._marginal_counts(cond | rep | sum(parts))  # the parts are disjoint
+    joint = p._marginal_counts(reduce(or_, blocks, cond))  # blocks may overlap
     lookups = [(_fields(cond | b, p._width), p._marginal_counts(cond | b)) for b in blocks]
     scale = {y: cy ** (len(blocks) - 1) for y, cy in p._marginal_counts(cond).items()}
     cond_field, verdict = _fields(cond, p._width), True

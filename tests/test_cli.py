@@ -172,6 +172,29 @@ def test_canon_verify_passes(capsys):
     assert code == 0 and out == "I(2 ; 2 | 1)\n"
 
 
+def test_canon_verify_catches_a_canonical_form_that_drops_the_repeated_set(capsys, monkeypatch):
+    # Validity reads the statement as written, so a wrong canonical form
+    # disagrees with its source on some sample.
+    import importlib
+    import pkgutil
+
+    import cmikit
+    from cmikit.statements import CanonicalCmi, canonicalize
+
+    def drop_repeated(k):
+        c = canonicalize(k)
+        return CanonicalCmi._from_masks(c.n, c._cond, 0, c._parts)
+
+    submodules = (importlib.import_module(m.name) for m in pkgutil.iter_modules(cmikit.__path__, "cmikit."))
+    for module in (cmikit, *submodules):
+        monkeypatch.setattr(module, "canonicalize", drop_repeated, raising=False)
+    code, out, err = run(capsys, "canon", "I(1,2 ; 2,3 | 1)", "--n", "3", "--verify")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: verification failed: sampled distribution separates statements declared equivalent\n"
+    )
+
+
 def test_equiv_affirmative(capsys):
     code, out, _ = run(
         capsys, "equiv", "I(1,2 ; 2,3 ; 4 ; 5 | 1)", "I(2 ; 2 ; 3 ; 4 ; 5 | 1)",

@@ -16,7 +16,6 @@ from cmikit import (
     Cmi,
     JointDistribution,
     TOLERANCE,
-    canonicalize,
     cond_entropy,
     cond_mutual_info,
     entropy,
@@ -373,13 +372,14 @@ MEMO = JointDistribution(
         pytest.param(Cmi(5, {5}, ({3}, {1, 2})), Cmi(5, {5}, ({4}, {1, 2})), id="first-part"),
         pytest.param(Cmi(5, {5}, ({1}, {2, 3})), Cmi(5, {5}, ({1}, {2, 4})), id="last-part"),
         pytest.param(Cmi(5, set(), ({1}, {2})), Cmi(5, {4}, ({1}, {2})), id="cond"),
+        pytest.param(Cmi(5, {5}, ({1}, {2})), Cmi(5, {5}, ({1}, {2}, {2})), id="multiplicity"),
     ],
 )
 def test_verdict_memo_tells_apart_shapes_that_differ_in_one_place(holds, fails):
-    # In canonical form each pair differs only in its repeated set, in its
-    # first or last part, or in its condition, and every variable is live.  A
-    # memo key that left that out would give the second statement asked the
-    # first one's verdict.
+    # As written, each pair differs only in an index two blocks share, in its
+    # first or last block, in how often a block is written, or in its
+    # condition, and every variable is live.  A memo key that left that out
+    # would give the second statement asked the first one's verdict.
     for first, second in ((holds, fails), (fails, holds)):
         p = fresh_copy(MEMO)
         for k in (first, second, first, second):
@@ -395,9 +395,9 @@ def test_verdict_memo_stays_bounded_and_agrees_across_threads():
     for _ in range(1000):
         k = random_cmi(rng, 8)
         assert is_valid(p, k) == is_valid(fresh_copy(p), k)
-        c = canonicalize(k)
-        if len(c.parts) + 2 * bool(c.repeated) >= 2:  # fewer blocks hold without a walk
-            shapes.add((c.cond, c.repeated, c.parts))
+        blocks = tuple(b - k.cond for b in k.blocks if b - k.cond)  # the memo's key: no constant to erase
+        if len(blocks) >= 2:  # fewer blocks hold without a walk
+            shapes.add((k.cond, *blocks))
         sizes.append(len(p._verdicts))
     assert len(shapes) > MARGINAL_CACHE_SIZE
     assert max(sizes) <= MARGINAL_CACHE_SIZE

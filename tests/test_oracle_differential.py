@@ -40,6 +40,17 @@ def test_is_valid_matches_brute_force_on_sampled_joints(seed, n):
     assert_agree(p, random_cmi(rng, n))
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5))
+def test_the_canonical_form_preserves_validity(seed, n):
+    # ``is_valid`` reads the written blocks, so this checks ``canonicalize``
+    # against the definitional decider, not against itself.
+    rng = random.Random(seed)
+    p = random_joint(rng, n, seed)
+    k = random_cmi(rng, n)
+    assert is_valid(p, k) == is_valid(p, canonicalize(k).as_cmi()) == brute_valid(p, k), (p.pmf, k)
+
+
 @st.composite
 def sixths_pmfs(draw):
     """Pmfs built from sixths over 2 or 3 variables, listing every outcome (zero rows too).
