@@ -64,6 +64,8 @@ FILES = {
     "lastsym.txt": GRID_HEAD + "".join(GRID_ROWS[:-1]) + "1 3 \u00b2 : 1/40\n",
     "lastslash.txt": GRID_HEAD + "".join(GRID_ROWS[:-1]) + "1 3 4 : 1/2/3\n",
     "lastdup.txt": GRID_HEAD + "".join(GRID_ROWS[:-1]) + GRID_ROWS[0],
+    # A duplicate outcome spelled differently: rows are told apart by value.
+    "respelled.txt": "vars: X1:2 X2:2\n0 0 : 1/2\n00 0 : 1/2\n",
 }
 
 # The invocations; ``<tmp>`` stands for the temporary directory.
@@ -185,6 +187,8 @@ CASES = [
     # statement syntax errors, each at its token
     *(["canon", text, "--n", "5"] for text in ("J(1)", "I 12", "I(1 ;; 2)", "I(1,)", "I({)", "I(|)")),
     ["implies", "I(1 ; 2)", "I(1 ; {2})", "--n", "3"],
+    # a duplicate row in another spelling
+    ["check", "I(1 ; 2)", "--n", "2", "--dist", "<tmp>/respelled.txt"],
 ]
 
 

@@ -21,7 +21,7 @@ from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence, Va
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, repeat
-from operator import and_, floordiv, index, mul, or_
+from operator import and_, index, mul, or_
 
 from .statements import Cmi, _indices, _mask_of
 
@@ -68,10 +68,11 @@ def _unpack(codes: Iterable[int], width: int, mask: int) -> Iterator[Assignment]
 
 
 def _common_denominator(codes: list[int], nums: list[int], dens: list[int]) -> tuple[dict[int, int], int]:
-    """Integer weights of rows, given as columns of distinct codes, numerators and
-    denominators, over the lcm of the denominators.  Zero rows are dropped."""
-    denominator = math.lcm(*compress(dens, nums))
-    return dict(compress(zip(codes, map(mul, nums, map(floordiv, repeat(denominator), dens))), nums)), denominator
+    """Integer weights of rows, given as columns of distinct codes, numerators and denominators ``d``,
+    over the lcm ``D`` of non-zero rows' ``d``; zero rows are dropped.  Each distinct ``d`` is read once."""
+    denominator = math.lcm(*set(compress(dens, nums)))
+    scale = {d: denominator // d for d in set(dens)}
+    return dict(compress(zip(codes, map(mul, nums, map(scale.__getitem__, dens))), nums)), denominator
 
 
 class _PmfView(Mapping):

@@ -8,7 +8,8 @@ explicitly empty block.  Its tokens are runs of decimal digits
 reads the tokens in one loop that builds each block's mask as it goes, and
 finds an error's line and column only when it raises.  Distributions use
 a line format with a ``vars:`` header declaring alphabet sizes followed by one
-``symbols : probability`` row per support point; ``#`` starts a comment.
+``symbols : probability`` row per support point; ``#`` starts a comment.  Their
+parser converts each distinct spelling once, per symbol column and per probability.
 Rendering is canonical (sorted, lowest terms), so rendered text is stable.  A
 rendered statement re-parses to an equal object, and so does a rendered
 distribution over n >= 1 variables (over none, the ``vars:`` header is empty,
@@ -18,8 +19,8 @@ which the parser rejects).
 from __future__ import annotations
 
 import re
-from itertools import chain, cycle, repeat
-from operator import itemgetter, lshift, lt
+from itertools import chain, repeat
+from operator import itemgetter, lshift
 
 from .statements import MAX_GROUND_SET, Cmi, _indices
 
@@ -133,7 +134,8 @@ def parse_distribution(text: str) -> JointDistribution:
     (``str.isdecimal``, so ``٢`` is 2), and the probability is one word.
     Explicit zero rows are allowed; duplicate rows, symbols outside their
     alphabet, malformed probabilities, a zero DEN and total mass != 1 are
-    errors.  The first error in line order is reported, the mass last.
+    errors.  The first error in line order is reported, the mass last.  Each column's
+    distinct spellings are converted and range-checked once; only an error walks the rows.
     """
     # Imported here, so that statement-only callers never load the distribution layer.
     from fractions import Fraction
@@ -183,24 +185,31 @@ def _int(digits: str, line: int, column: int) -> int:
 
 
 def _columns(rows: list[str], sizes: list[int], shifts: range) -> tuple[list[int], list[int], list[int]]:
-    """Packed codes, numerators and denominators of the rows, each rule checked on
-    a whole column in C-level passes; ``ValueError`` when some row breaks one."""
-    n = len(sizes)
+    """Packed codes, numerators and denominators of the rows; ``ValueError`` when some row
+    breaks a rule.  Each distinct spelling in a symbol column, range-checked against that
+    column's own size, and each distinct probability word is converted and checked once."""
     halves = list(map(str.rpartition, rows, repeat(":")))
     words = list(map(str.split, map(itemgetter(0), halves)))
     probs = list(map(str.split, map(itemgetter(2), halves)))
-    fracs = list(map(str.partition, chain.from_iterable(probs), repeat("/")))
-    digits = list(chain.from_iterable(words)), list(map(itemgetter(0), fracs)), list(map(itemgetter(2), fracs))
-    symbols, nums, dens = (list(map(int, column)) for column in digits)
-    codes = list(map(sum, zip(*[map(lshift, symbols, cycle(shifts))] * n)))
+    fields = []  # per column, each row's symbol shifted into its field
+    for column, size, shift in zip(zip(*words), sizes, shifts):
+        values = {w: int(w) for w in set(column)}
+        if not (all(map(str.isdecimal, values)) and max(values.values()) < size):
+            raise ValueError("malformed row")
+        fields.append(map(dict(zip(values, map(lshift, values.values(), repeat(shift)))).__getitem__, column))
+    codes = list(map(sum, zip(*fields)))
+    rationals = list(chain.from_iterable(probs))
+    spelled = list(set(rationals))
+    fracs = list(map(str.partition, spelled, repeat("/")))  # without a "/", the denominator is empty
+    nums, dens = list(map(itemgetter(0), fracs)), list(map(itemgetter(2), fracs))
+    num_of, den_of = dict(zip(spelled, map(int, nums))), dict(zip(spelled, map(int, dens)))
     if not (
-        all(map(itemgetter(1), halves)) and all(map(n.__eq__, map(len, words)))
-        and all(map((1).__eq__, map(len, probs))) and all(map(itemgetter(1), fracs))
-        and all(map(str.isdecimal, chain(*digits))) and all(map(lt, symbols, cycle(sizes)))
-        and all(dens) and len(set(codes)) == len(codes)
+        all(map(itemgetter(1), halves)) and all(map(len(sizes).__eq__, map(len, words)))
+        and all(map((1).__eq__, map(len, probs))) and all(map(str.isdecimal, chain(nums, dens)))
+        and all(den_of.values()) and len(set(codes)) == len(codes)
     ):
         raise ValueError("malformed row")
-    return codes, nums, dens
+    return codes, list(map(num_of.__getitem__, rationals)), list(map(den_of.__getitem__, rationals))
 
 
 def _raise_row_error(lines: list[str], header: int, sizes: list[int]) -> None:

@@ -6,23 +6,27 @@ spelled statements, some with one or two mutations, both must give an equal
 statement with its blocks in the same written order, or the same
 ``ParseError``: line, column and message.
 
-``parse_distribution`` checks every row rule on whole columns and only walks
-the rows to locate an error; ``textio_reference.parse_distribution`` is the
-parser as it was, one loop that checks each row in turn.  On loosely spelled
-texts of up to 300 rows, some with one or two late mutations, both must give
-an equal distribution (in the same order) or the same ``ParseError``.
+``parse_distribution`` checks every row rule on whole columns, converting each
+distinct spelling once, and only walks the rows to locate an error;
+``textio_reference.parse_distribution`` is the parser as it was, one loop that
+checks each row in turn.  On loosely spelled texts of up to 300 rows, some with
+one or two late mutations, and on texts the size of the CLI benchmark's files,
+both must give an equal distribution (in the same order) or the same
+``ParseError``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import textio_reference
-from cmikit import ParseError, parse_cmi, parse_distribution
+from cmikit import ParseError, parse_cmi, parse_distribution, textio
 
 # Whitespace of several kinds: U+3000 ideographic space, U+001C file separator,
 # U+0085 next line, and a carriage return (as left by a \r\n ending).
@@ -34,6 +38,7 @@ LONG = "1" * 5000  # more digits than int() converts by default
 MUTATIONS = (
     "drop row",
     "duplicate row",
+    "respelled duplicate row",
     "symbol out of range",
     "superscript symbol",
     "long symbol",
@@ -56,6 +61,15 @@ def spell(rng: random.Random, value: int) -> str:
     """``value`` in decimal digits, maybe with leading zeros, each digit in a random script."""
     digits = "0" * rng.choice((0, 0, 0, 0, 1, 2)) + str(value)
     return "".join(chr(rng.choice(ZEROS) + int(d)) for d in digits)
+
+
+def respell(rng: random.Random, word: str) -> str:
+    """``word`` spelled differently: with one more leading zero, or, when it is a
+    digit run, with its digits in a script other than its first digit's."""
+    if rng.random() < 0.5 or not word.isdecimal():
+        return chr(rng.choice(ZEROS)) + word
+    zero = rng.choice([z for z in set(ZEROS) if z != ord(word[0]) - int(word[0])])
+    return "".join(chr(zero + int(d)) for d in word)
 
 
 def space(rng: random.Random, least: int = 1) -> str:
@@ -96,6 +110,9 @@ def loose_text(rng: random.Random, mutations: list[str], max_rows: int = 300) ->
         elif kind == "duplicate row":
             j = rng.randrange(i + 1)
             rows.insert(i + 1, {"symbols": list(rows[j]["symbols"]), "prob": rows[j]["prob"]})
+        elif kind == "respelled duplicate row":  # the same outcome, no symbol spelled as before
+            j = rng.randrange(i + 1)
+            rows.insert(i + 1, {"symbols": [respell(rng, w) for w in rows[j]["symbols"]], "prob": rows[j]["prob"]})
         elif kind == "symbol out of range":  # past n after "too many symbols": use the last size
             row["symbols"][v] = spell(rng, sizes[min(v, n - 1)] + rng.randint(0, 3))
         elif kind == "superscript symbol":
@@ -171,11 +188,68 @@ def test_differential_texts_reach_every_outcome():
             errors += result[0] == "error"
             if result[0] == "error":
                 messages.add(result[3].split(":", 1)[1].split()[0])
+            if kind == "respelled duplicate row":  # found by value, not by spelling
+                assert result[0] == "error" and "duplicate row for outcome" in result[3], result
         assert errors >= 6, kind
     accepted = sum(same(loose_text(rng, [], max_rows=300))[0] == "ok" for _ in range(30))
     assert accepted >= 25
     assert {"expected", "bad", "symbol", "missing", "unexpected", "malformed", "probability", "duplicate",
             "number"} <= messages
+
+
+def wide_text(rng: random.Random, n: int, rows: int, loose: bool) -> tuple[str, list[int]]:
+    """Distribution text over ``n`` variables of alphabet 2-4 with ``rows`` distinct
+    outcomes in random order, not in lowest terms, and its sizes; with ``loose``,
+    every number is spelled as ``spell`` spells it."""
+    sizes = [rng.choice((2, 3, 4)) for _ in range(n)]
+    assert math.prod(sizes) >= rows, "too few outcomes for the rows"
+    num = (lambda v: spell(rng, v)) if loose else str
+    support: dict[tuple[int, ...], int] = {}
+    while len(support) < rows:
+        support[tuple(rng.randrange(s) for s in sizes)] = rng.randint(1, 9)
+    total, k = sum(support.values()), rng.randint(1, 3)
+    lines = ["vars: " + " ".join(f"X{i}:{num(s)}" for i, s in enumerate(sizes, start=1))]
+    lines += [" ".join(map(num, o)) + f" : {num(w * k)}/{num(total * k)}" for o, w in support.items()]
+    return "\n".join(lines) + "\n", sizes
+
+
+@pytest.mark.parametrize("n, loose", [(12, False), (14, True), (16, False)])
+def test_parser_matches_the_reference_on_texts_the_size_of_the_cli_files(n, loose):
+    # The CLI benchmark loads files of 2,048-2,304 rows over up to 16 variables,
+    # far past the 5 variables and 300 rows of ``loose_text``.
+    rng = random.Random(2300 + n)
+    text, sizes = wide_text(rng, n, 2300, loose)
+    assert same(text)[0] == "ok"
+    # The last row's symbol in the narrowest column is set to that column's size:
+    # outside its own alphabet, though inside a wider column's.
+    v = sizes.index(min(sizes))
+    assert sizes[v] < max(sizes)
+    *head, last = text.rstrip("\n").split("\n")
+    symbols, colon, prob = last.rpartition(":")
+    symbols = symbols.split()
+    symbols[v] = str(sizes[v])
+    result = same("\n".join(head + [" ".join(symbols) + " " + colon + prob]) + "\n")
+    assert result[:3] == ("error", len(head) + 1, 1 + sum(len(w) + 1 for w in symbols[:v])), result
+
+
+def test_each_distinct_spelling_is_converted_once(monkeypatch):
+    # On a 384-row text over 8 variables, like the benchmark's planted ones, ``int``
+    # runs once per distinct spelling of a symbol column and twice per distinct
+    # probability word (plus once per header size), not once per cell.
+    text, sizes = wide_text(random.Random(384), 8, 384, loose=False)
+    rows = [line.rpartition(":") for line in text.splitlines()[1:]]
+    columns = list(zip(*(symbols.split() for symbols, _, _ in rows)))
+    bound = sum(len(set(c)) for c in columns) + 2 * len({p.strip() for _, _, p in rows}) + len(sizes)
+    calls = []
+
+    def counting_int(*args):
+        calls.append(args)
+        return int(*args)
+
+    want = same(text)
+    monkeypatch.setattr(textio, "int", counting_int, raising=False)
+    assert result_of(parse_distribution, text) == want
+    assert 0 < len(calls) <= bound < len(rows)
 
 
 # Statement tokens that a mutation inserts or drops, and trailing texts.
