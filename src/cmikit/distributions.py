@@ -48,10 +48,12 @@ def _pack(outcome: Assignment, sizes: tuple[int, ...], width: int) -> int:
     """Pack an outcome, rejecting a wrong arity or a symbol that would spill into the next field."""
     if len(outcome) != len(sizes):
         raise ValueError(f"outcome {outcome} has arity {len(outcome)}, expected {len(sizes)}")
+    code = 0
     for i, (s, size) in enumerate(zip(outcome, sizes)):
         if not 0 <= s < size:
             raise ValueError(f"symbol {s} of variable {i + 1} outside its alphabet 0..{size - 1}")
-    return sum(s << width * i for i, s in enumerate(outcome))
+        code |= s << width * i
+    return code
 
 
 @lru_cache(maxsize=1024)
@@ -269,7 +271,8 @@ def j_value(p: JointDistribution, k: Cmi) -> float:
     Zero exactly when ``k`` is valid on ``p`` (for two or more blocks it is
     non-negative); statements with at most one block give literally ``0.0``.
     """
-    require_matching_arity(p, k)
+    if k.n != p.n:
+        require_matching_arity(p, k)
     if len(k._written) <= 1:
         return 0.0
     c = k._cond
@@ -309,10 +312,13 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     then ``C``: each sums out of a smaller cached table, to the same integer
     counts in the full table's first-occurrence order, so ``j_value`` is unmoved.
     """
-    require_matching_arity(p, k)
-    live = p._live
+    if k.n != p.n:  # the guard inline: ``require_matching_arity`` only raises
+        require_matching_arity(p, k)
+    live, blocks = p._live, []
     cond, keep = k._cond & live, live & ~k._cond
-    blocks = [b & keep for b in k._written if b & keep]
+    for b in k._written:  # a loop, not a comprehension: CPython 3.11 calls each comprehension
+        if b & keep:
+            blocks.append(b & keep)
     if len(blocks) <= 1:
         return True
     verdict = p._verdicts.get(key := (cond, *blocks))

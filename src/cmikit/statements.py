@@ -9,7 +9,8 @@ decomposition into a chain of pairwise conditional independencies).
 
 Index sets are stored only as ``int`` bitmasks (index ``i`` is bit ``i - 1``),
 blocks once, in written order; each read of a public ``frozenset`` field builds
-fresh, equal sets from them.  Each class writes its slots only in ``_from_masks``.
+fresh, equal sets from them.  Each class writes its slots only in ``_from_masks``
+(``canonicalize`` sets ``_canon``), through the slots' own setters, bound once.
 Equality and hashing (blocks sorted) read the masks, and so do ``canonicalize``
 (one pass erases the condition and the repeated set), ``residual`` and one clause
 function, through one normaliser (``_normal``); the clause function names the
@@ -67,11 +68,6 @@ def _view(mask: int) -> IndexSet:
     return frozenset(_indices(mask))
 
 
-def _low(mask: int) -> int:
-    """Smallest member of a non-empty ``mask``."""
-    return (mask & -mask).bit_length()
-
-
 def block_key(block: IndexSet) -> tuple[int, tuple[int, ...]]:
     """Total order on index sets: cardinality first, then members lexicographically."""
     return (len(block), tuple(sorted(block)))
@@ -101,6 +97,11 @@ class _Frozen:
 
     __delattr__ = __setattr__
 
+    @classmethod
+    def _setters(cls) -> tuple:
+        """The class's own slot setters, in order: a write through one skips ``__setattr__`` and its type lookup."""
+        return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
@@ -129,12 +130,12 @@ class Cmi(_Frozen):
 
     @classmethod
     def _from_masks(cls, n: int, cond: int, blocks: Sequence[int]) -> Cmi:
-        """Build from masks inside ``1..n``; blocks keep the given order.  The only slot writer; ``canonicalize`` sets ``_canon``."""
-        k, set_ = object.__new__(cls), object.__setattr__
-        set_(k, "n", n)
-        set_(k, "_cond", cond)
-        set_(k, "_written", tuple(blocks))
-        set_(k, "_canon", None)
+        """Build from masks inside ``1..n``, blocks in order.  The only slot writer (bound ``_setters``); ``canonicalize`` sets ``_canon``."""
+        k = object.__new__(cls)
+        _cmi_n(k, n)
+        _cmi_cond(k, cond)
+        _cmi_written(k, tuple(blocks))
+        _cmi_canon(k, None)
         return k
 
     cond = property(lambda self: _view(self._cond))
@@ -186,14 +187,14 @@ class CanonicalCmi(_Frozen):
 
     @classmethod
     def _from_masks(cls, n: int, cond: int, rep: int, parts: Iterable[int]) -> CanonicalCmi:
-        """Build from masks that meet the invariants, parts in any order.  The only slot writer, ``degenerate`` included."""
-        c, set_ = object.__new__(cls), object.__setattr__
+        """Build from masks that meet the invariants, parts in any order.  The only slot writer (bound ``_setters``), ``degenerate`` included."""
+        c = object.__new__(cls)
         parts = tuple(sorted(parts, key=_mask_key))
-        set_(c, "n", n)
-        set_(c, "degenerate", not (rep or parts))
-        set_(c, "_cond", cond)
-        set_(c, "_rep", rep)
-        set_(c, "_parts", parts)
+        _cc_n(c, n)
+        _cc_degenerate(c, not (rep or parts))
+        _cc_cond(c, cond)
+        _cc_rep(c, rep)
+        _cc_parts(c, parts)
         return c
 
     cond = property(lambda self: _view(self._cond))
@@ -213,6 +214,10 @@ class CanonicalCmi(_Frozen):
         (``(∅, <>)`` for the degenerate form, whose masks are all empty)."""
         rep = (self._rep, self._rep) if self._rep else ()
         return Cmi._from_masks(self.n, self._cond, rep + self._parts)
+
+
+_cmi_n, _cmi_cond, _cmi_written, _cmi_canon = Cmi._setters()
+_cc_n, _cc_degenerate, _cc_cond, _cc_rep, _cc_parts = CanonicalCmi._setters()
 
 
 def pure_form(k: Cmi) -> Cmi:
@@ -240,7 +245,7 @@ def canonicalize(k: Cmi) -> CanonicalCmi:
             seen |= b
         rep &= ~k._cond
         canon = CanonicalCmi._from_masks(k.n, *_normal(k._cond, rep, k._written, rep | k._cond))
-        object.__setattr__(k, "_canon", canon)
+        _cmi_canon(k, canon)
     return k._canon
 
 
@@ -248,8 +253,10 @@ def _normal(cond: int, rep: int, blocks: Iterable[int], drop: int) -> tuple[int,
     """Canonical ``(cond, repeated, parts)`` masks, all empty when degenerate, of
     ``(cond, <rep, rep, *blocks>)`` with ``drop`` erased from each block and emptied
     blocks left out, in order; ``cond``, ``rep`` and the erased blocks are disjoint."""
-    keep = ~drop
-    parts = [b & keep for b in blocks if b & keep]
+    keep, parts = ~drop, []
+    for b in blocks:  # a loop, not a comprehension: CPython 3.11 calls each comprehension
+        if b & keep:
+            parts.append(b & keep)
     if len(parts) >= 2:
         return cond, rep, parts
     # Once the repeated indices are pinned to the condition, a lone leftover part
@@ -317,13 +324,12 @@ def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, str | None, tuple[int, ...]]:
     if (last := _last_no)[0] is k and last[1] is k2:
         return last[2]
     _require_same_ground(k, k2)
-    c2 = canonicalize(k2)
+    c2 = k2._canon or canonicalize(k2)  # a stored form is read, not recomputed
     if c2.degenerate:
         return HOLDS, None, ()
-    c = canonicalize(k)
+    c = k._canon or canonicalize(k)
     rep2, parts2 = c2._rep, c2._parts
-    missing = c._cond & ~c2._cond
-    if missing:
+    if missing := c._cond & ~c2._cond:
         # Pivots that all copy one bit seen at m0 in k's condition keep k
         # valid; k2 does not condition on m0.
         bit = missing & -missing
@@ -331,12 +337,13 @@ def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, str | None, tuple[int, ...]]:
         if rep2:
             if bit & rep2:
                 return CONDITION, SINGLE, (m0,)
-            return CONDITION, COPY2, (m0, _low(rep2))
+            return CONDITION, COPY2, (m0, (rep2 & -rep2).bit_length())
+        a, b = parts2[0] & -parts2[0], parts2[1] & -parts2[1]
         if not bit & sum(parts2):  # m0 is in none of k2's (disjoint) parts
-            return CONDITION, COPY3, (m0, _low(parts2[0]), _low(parts2[1]))
-        return CONDITION, COPY2, (m0, _low(parts2[1 if bit & parts2[0] else 0]))
-    if rep2 & ~c._rep:
-        return REPEATED, SINGLE, (_low(rep2 & ~c._rep),)
+            return CONDITION, COPY3, (m0, a.bit_length(), b.bit_length())
+        return CONDITION, COPY2, (m0, (b if bit & parts2[0] else a).bit_length())
+    if uncovered := rep2 & ~c._rep:
+        return REPEATED, SINGLE, ((uncovered & -uncovered).bit_length(),)
     rcond, _, left = _normal(c2._cond & ~c._rep, 0, parts2, c._rep)  # k's repeated set covers k2's
     if not left:
         return HOLDS, None, ()
@@ -344,21 +351,20 @@ def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, str | None, tuple[int, ...]]:
         left.sort(key=_mask_key)
     # Parts are pairwise disjoint, so their sum is their union.
     pset, ppset = sum(c._parts), sum(left)
-    outside = ppset & ~pset
-    if outside:
+    a, b = left[0] & -left[0], left[1] & -left[1]
+    if outside := ppset & ~pset:
         if c.degenerate:  # no parts at all: tie k2's first two parts
-            return OUTSIDE, COPY2, (_low(left[0]), _low(left[1]))
-        return OUTSIDE, COPY2, (_low(outside), _low(left[1 if left[0] & outside & -outside else 0]))
-    extra = rcond & ~(c._cond | pset)  # it never meets the residual parts
-    if extra:
-        a, b = left[0] & -left[0], left[1] & -left[1]
+            return OUTSIDE, COPY2, (a.bit_length(), b.bit_length())
+        o = outside & -outside
+        return OUTSIDE, COPY2, (o.bit_length(), (b if left[0] & o else a).bit_length())
+    if extra := rcond & ~(c._cond | pset):  # it never meets the residual parts
         if any(part & a and part & b for part in c._parts):
             return SANDWICH, COPY2, (a.bit_length(), b.bit_length())
-        return SANDWICH, XOR, (a.bit_length(), b.bit_length(), _low(extra))
+        return SANDWICH, XOR, (a.bit_length(), b.bit_length(), (extra & -extra).bit_length())
     for q1, q2 in itertools.combinations(left, 2):
         for part in c._parts:
-            if q1 & part and q2 & part:
-                return SHARED, COPY2, (_low(q1 & part), _low(q2 & part))
+            if (s1 := q1 & part) and (s2 := q2 & part):
+                return SHARED, COPY2, ((s1 & -s1).bit_length(), (s2 & -s2).bit_length())
     return HOLDS, None, ()
 
 

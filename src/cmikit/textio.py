@@ -114,7 +114,7 @@ def render_cmi(k: Cmi) -> str:
     stably, by length is the ``_mask_key`` order of the masks.
     """
     decoded = sorted(sorted(map(_indices, k._written)), key=len)
-    blocks = " ; ".join(",".join(map(str, b)) or "{}" for b in decoded)
+    blocks = " ; ".join([",".join(map(str, b)) or "{}" for b in decoded])
     if k._cond:
         blocks += (" | " if blocks else "| ") + ",".join(map(str, _indices(k._cond)))
     return f"I({blocks})"

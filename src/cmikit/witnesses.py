@@ -72,17 +72,19 @@ class Witness(_Frozen):
     def __init__(
         self, distribution: JointDistribution, direction: tuple[Cmi, Cmi], template: str, pivot_indices: tuple[int, ...]
     ) -> None:
-        # The only slot writer: past the write guard, one slot at a time.
-        _set = object.__setattr__
-        _set(self, "distribution", distribution)
-        _set(self, "direction", direction)
-        _set(self, "template", template)
-        _set(self, "pivot_indices", pivot_indices)
+        # The only slot writer: past the write guard, through the slots' own setters.
+        _w_distribution(self, distribution)
+        _w_direction(self, direction)
+        _w_template(self, template)
+        _w_pivots(self, pivot_indices)
 
     def _key(self) -> tuple:
         return self.distribution, self.direction, self.template, self.pivot_indices
 
     __hash__ = None  # a JointDistribution is unhashable, so a Witness is too
+
+
+_w_distribution, _w_direction, _w_template, _w_pivots = Witness._setters()
 
 
 def witness_non_implication(k: Cmi, k2: Cmi) -> Witness:
