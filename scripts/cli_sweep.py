@@ -189,6 +189,8 @@ CASES = [
     ["implies", "I(1 ; 2)", "I(1 ; {2})", "--n", "3"],
     # a duplicate row in another spelling
     ["check", "I(1 ; 2)", "--n", "2", "--dist", "<tmp>/respelled.txt"],
+    # An XOR plan with pivots (2, 1, 4), out of sorted order.
+    ["witness", "I(1 ; 2 ; 3)", "I(2 ; 1,3 | 4)", "--n", "4"],
 ]
 
 

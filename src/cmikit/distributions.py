@@ -177,8 +177,11 @@ class JointDistribution:
         self._counts: dict[int, dict[int, int]] = {(1 << n) - 1: weights}
         # The variables with two or more values on the support: those whose field
         # holds a bit that is set in some code and clear in another.
-        diff, ones = reduce(or_, weights) ^ reduce(and_, weights), (1 << width) - 1
-        self._live = sum(1 << i for i in range(n) if diff >> width * i & ones)
+        diff, ones, live = reduce(or_, weights) ^ reduce(and_, weights), (1 << width) - 1, 0
+        while diff:  # one live field at a time, cleared once found
+            i = ((diff & -diff).bit_length() - 1) // width
+            live, diff = live | 1 << i, diff & ~(ones << width * i)
+        self._live = live
         self._verdicts: dict[tuple[int, ...], bool] = {}  # is_valid's, by erased shape
 
     def _mask(self, indices: Iterable[int]) -> int:
@@ -192,12 +195,14 @@ class JointDistribution:
         if len(self._counts) >= MARGINAL_CACHE_SIZE:
             self._counts = {(1 << self.n) - 1: self._weights}
         # Sum out of the smallest cached marginal that covers ``mask``; the full pmf,
-        # cached first, always qualifies.  Search a copy, made in one C call: another
-        # thread may add a table to a shared template's cache, even inside list(d.items()).
+        # cached first, always qualifies.  Search only when the full table has more rows
+        # than the cache has tables (else walking it costs less), and search a copy made in
+        # one C call: another thread may add a table to a shared template's cache, even inside list(d.items()).
         src = self._weights
-        for m, c in self._counts.copy().items():
-            if len(c) < len(src) and not mask & ~m:
-                src = c
+        if len(src) > len(self._counts):
+            for m, c in self._counts.copy().items():
+                if len(c) < len(src) and not mask & ~m:
+                    src = c
         f = _fields(mask, self._width)
         counts = {}
         for code, w in src.items():
@@ -275,10 +280,10 @@ def j_value(p: JointDistribution, k: Cmi) -> float:
         require_matching_arity(p, k)
     if len(k._written) <= 1:
         return 0.0
-    c = k._cond
-    total = -(_entropy(p, reduce(or_, k._written, c)) - _entropy(p, c))
+    c, hc = k._cond, _entropy(p, k._cond)
+    total = -(_entropy(p, reduce(or_, k._written, c)) - hc)
     for b in k._written:  # in written order: the float sum depends on it
-        total += _entropy(p, b | c) - _entropy(p, c)
+        total += _entropy(p, b | c) - hc
     return total + 0.0
 
 
@@ -309,7 +314,7 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     The verdict thus depends only on ``p`` and the erased shape ``(C, *blocks)``,
     which ``p`` memoises (at most ``MARGINAL_CACHE_SIZE`` shapes, then it drops
     back to empty).  The walk reads the joint table first, then each ``C|block``,
-    then ``C``: each sums out of a smaller cached table, to the same integer
+    then ``C``: each may sum out of a smaller cached table, to the same integer
     counts in the full table's first-occurrence order, so ``j_value`` is unmoved.
     """
     if k.n != p.n:  # the guard inline: ``require_matching_arity`` only raises
@@ -325,9 +330,12 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     if verdict is not None:
         return verdict
     joint = p._marginal_counts(reduce(or_, blocks, cond))  # blocks may overlap
-    lookups = [(_fields(cond | b, p._width), p._marginal_counts(cond | b)) for b in blocks]
-    scale = {y: cy ** (len(blocks) - 1) for y, cy in p._marginal_counts(cond).items()}
-    cond_field, verdict = _fields(cond, p._width), True
+    width, lookups, scale, power = p._width, [], {}, len(blocks) - 1
+    for b in blocks:  # plain loops, as above
+        lookups.append((_fields(cond | b, width), p._marginal_counts(cond | b)))
+    for y, cy in p._marginal_counts(cond).items():
+        scale[y] = cy**power
+    cond_field, verdict = _fields(cond, width), True
     for code, czy in joint.items():
         rhs = 1
         for field, counts in lookups:
@@ -367,12 +375,13 @@ def random_distribution(
             raise ValueError(f"alphabet sizes must be in 1..4, got {s}")
     if mass_grain < 1:
         raise ValueError(f"mass_grain must be >= 1, got {mass_grain}")
-    rng = random.Random(seed)
-    width, codes = _width(sizes), [0]
-    for i, s in enumerate(sizes):  # every outcome's code, in itertools.product order
-        codes = [code | v << width * i for code in codes for v in range(s)]
+    rng, width, total = random.Random(seed), _width(sizes), math.prod(sizes)
     counts: dict[int, int] = {}
     for _ in range(mass_grain):
-        o = rng.choice(codes)
+        # ``choice``'s draw from every outcome in itertools.product order, decoded.
+        r, o = rng.randrange(total), 0
+        for i in range(n - 1, -1, -1):
+            r, v = divmod(r, sizes[i])
+            o |= v << width * i
         counts[o] = counts.get(o, 0) + 1
     return JointDistribution._from_weights(sizes, counts, mass_grain)

@@ -77,6 +77,11 @@ def _mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), _indices(mask))
 
 
+def _part_key(mask: int) -> tuple[int, int]:
+    """``_mask_key``'s order on pairwise disjoint masks: equal sizes differ first at their lowest members."""
+    return (mask.bit_count(), mask & -mask)
+
+
 class _Frozen:
     """Immutable ``__slots__`` value; its repr and copies read ``_fields``, the
     constructor's parameters in order, and equality and hashing read ``_key()``."""
@@ -158,7 +163,7 @@ class CanonicalCmi(_Frozen):
     ``repeated`` or ``parts`` builds fresh frozensets.
     """
 
-    __slots__ = ("n", "degenerate", "_cond", "_rep", "_parts")  # _parts sorted by _mask_key
+    __slots__ = ("n", "degenerate", "_cond", "_rep", "_parts")  # _parts sorted by _part_key
     _fields = ("n", "cond", "repeated", "parts", "degenerate")
 
     def __new__(
@@ -189,7 +194,7 @@ class CanonicalCmi(_Frozen):
     def _from_masks(cls, n: int, cond: int, rep: int, parts: Iterable[int]) -> CanonicalCmi:
         """Build from masks that meet the invariants, parts in any order.  The only slot writer (bound ``_setters``), ``degenerate`` included."""
         c = object.__new__(cls)
-        parts = tuple(sorted(parts, key=_mask_key))
+        parts = tuple(sorted(parts, key=_part_key))
         _cc_n(c, n)
         _cc_degenerate(c, not (rep or parts))
         _cc_cond(c, cond)
@@ -348,7 +353,7 @@ def _sub_cmi_clause(k: Cmi, k2: Cmi) -> tuple[str, str | None, tuple[int, ...]]:
     if not left:
         return HOLDS, None, ()
     if c._rep & sum(parts2):  # else left is c2's parts, already sorted
-        left.sort(key=_mask_key)
+        left.sort(key=_part_key)
     # Parts are pairwise disjoint, so their sum is their union.
     pset, ppset = sum(c._parts), sum(left)
     a, b = left[0] & -left[0], left[1] & -left[1]

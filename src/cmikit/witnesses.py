@@ -10,28 +10,28 @@ that plan is a lookup, not a second run.  ``witness_non_equivalence`` asks
 distribution is checked against the exact validity oracle on both statements
 before it is returned, and a plan that fails that check is an internal error.
 That check erases the constant variables, so it costs what the 1-3 pivots cost,
-whatever the ground set.  Template distributions are memoised, so one object,
-its cached marginals and its ``is_valid`` verdicts (at most 256, by erased
-shape) serve every pair that plans the same template at the same pivots.
+whatever the ground set.  Template distributions are memoised by pivot set,
+not pivot order (each template is symmetric in its pivots), so one object, its
+cached marginals and its ``is_valid`` verdicts (at most 256, by erased shape)
+serve every pair that plans the same template on the same pivots.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
 
 from .distributions import JointDistribution, is_valid
 from .statements import COPY2, COPY3, HOLDS, SINGLE, XOR
-from .statements import Cmi, _Frozen, _mask_of, _sub_cmi_clause, implies
+from .statements import Cmi, _Frozen, _indices, _mask_of, _sub_cmi_clause, implies
 
 _ARITY = {SINGLE: 1, COPY2: 2, COPY3: 3, XOR: 3}
 
 TEMPLATES = tuple(_ARITY)
 
-#: Distributions kept by ``template_distribution``.  Every ordered pair of the
-#: 1,077 canonical classes over 5 variables plans one of 135 distinct
-#: ``(n, template, pivots)`` keys, and one 8,000-pair census pass asks for
-#: 112-119 of them; all fit.
+#: Keys kept by ``template_distribution``, and distributions kept by its pivot-set
+#: cache.  Every ordered pair of the 1,077 canonical classes over 5 variables plans
+#: one of 135 ``(n, template, pivots)`` keys on 35 pivot sets (35 distributions);
+#: one 8,000-pair census pass asks for 111-121 of the keys; all fit.
 TEMPLATE_CACHE_SIZE = 256
 
 
@@ -41,8 +41,9 @@ def template_distribution(n: int, template: str, pivots: tuple[int, ...]) -> Joi
 
     ``SINGLE``: one uniform bit.  ``COPY2``/``COPY3``: two or three perfect
     copies of one uniform bit.  ``XOR``: two independent uniform bits and
-    their parity.  All non-pivot variables are constant 0.  Repeated calls
-    with the same arguments return the same (read-only) object, so the
+    their parity, rows in product order of the *sorted* pivots.  All non-pivot
+    variables are constant 0.  Each template is symmetric in its pivots, so
+    every order of one pivot set returns the same (read-only) object.  The
     pivots must be a hashable tuple: a list raises ``TypeError``.
     """
     if template not in _ARITY:
@@ -51,11 +52,15 @@ def template_distribution(n: int, template: str, pivots: tuple[int, ...]) -> Joi
         raise ValueError(f"{template} takes {_ARITY[template]} pivots, got {len(pivots)}")
     if len(set(pivots)) != len(pivots):
         raise ValueError(f"pivot indices must be distinct, got {pivots}")
-    mask = _mask_of(pivots, n, "pivot index")
+    return _on_pivot_set(n, template, _mask_of(pivots, n, "pivot index"))
+
+
+@lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _on_pivot_set(n: int, template: str, mask: int) -> JointDistribution:
     # Binary alphabets pack one bit per variable: a row's code is the mask of its
     # 1-valued pivots.  XOR's rows (u, v, u ^ v) in itertools.product order: after
-    # the zero row, each clears one pivot of the all-ones mask, in pivot order.
-    codes = [0, *(mask ^ 1 << index(m) - 1 for m in pivots)] if template == XOR else [0, mask]
+    # the zero row, each clears one pivot of the all-ones mask, lowest first.
+    codes = [0, *(mask ^ 1 << i - 1 for i in _indices(mask))] if template == XOR else [0, mask]
     # Every row weighs the same: a uniform pmf over the rows built above.
     return JointDistribution._from_weights((2,) * n, dict.fromkeys(codes, 1), len(codes))
 

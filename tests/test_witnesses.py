@@ -18,6 +18,7 @@ from cmikit import (
     Witness,
     canonicalize,
     entropy,
+    enumerate_canonical,
     implies,
     is_valid,
     template_distribution,
@@ -82,6 +83,43 @@ def test_template_distribution_is_memoised():
     hits = template_distribution.cache_info().hits
     assert template_distribution(5, "XOR", (1, 3, 5)) is d
     assert template_distribution.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize(
+    "template, pivots", [("SINGLE", (4,)), ("COPY2", (5, 2)), ("COPY3", (6, 1, 3)), ("XOR", (6, 1, 3))]
+)
+def test_pivot_orders_share_one_distribution(template, pivots):
+    # Every template is symmetric in its pivots, so each order of one pivot set
+    # gets the same object, with its marginal tables and verdict memo.
+    d = template_distribution(6, template, pivots)
+    for order in itertools.permutations(pivots):
+        assert template_distribution(6, template, order) is d
+    assert template_distribution(6, template, tuple(sorted(pivots))) is d
+
+
+def test_unsorted_xor_rows_follow_the_sorted_pivots():
+    xor = template_distribution(4, "XOR", (4, 2, 1))
+    assert xor is template_distribution(4, "XOR", (1, 2, 4))
+    # (u, v, u ^ v) at pivots 1, 2, 4, in itertools.product order.
+    assert list(xor.pmf) == [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 0)]
+    w = witness_non_implication(Cmi(4, set(), ({1}, {2}, {3})), Cmi(4, {4}, ({2}, {1, 3})))
+    assert (w.template, w.pivot_indices) == ("XOR", (2, 1, 4))  # the plan's order is kept
+    assert w.distribution is xor
+
+
+def test_n4_witnesses_use_one_distribution_per_pivot_set():
+    # The 56 (template, pivots) plans over all failing n=4 pairs fall on 18
+    # pivot sets, one per member of the template family.
+    template_distribution.cache_clear()
+    cmikit.witnesses._on_pivot_set.cache_clear()
+    statements = [c.as_cmi() for c in enumerate_canonical(4, 3)]
+    plans, objects = set(), {}
+    for k, k2 in itertools.permutations(statements, 2):
+        if not implies(k, k2):
+            w = witness_non_implication(k, k2)
+            plans.add((w.template, w.pivot_indices))
+            objects[id(w.distribution)] = w.distribution
+    assert (len(plans), len(objects)) == (56, 18)
 
 
 def test_degenerate_premise_against_functional_dependence():
@@ -167,7 +205,7 @@ def test_witness_equality_is_field_wise_and_it_is_unhashable():
     same = Witness(distribution=d, direction=(k, k2), template="COPY2", pivot_indices=(3, 1))
     assert w == same and w == witness_non_implication(k, k2)
     # An equal distribution that is a different object still compares equal.
-    assert w == Witness(template_distribution.__wrapped__(3, "COPY2", (3, 1)), (k, k2), "COPY2", (3, 1))
+    assert w == Witness(JointDistribution(d.alphabet_sizes, d.pmf), (k, k2), "COPY2", (3, 1))
     assert w != Witness(template_distribution(3, "COPY2", (2, 1)), (k, k2), "COPY2", (3, 1))
     assert w != Witness(d, (k2, k), "COPY2", (3, 1))
     assert w != Witness(d, (k, k2), "COPY3", (3, 1))
@@ -304,12 +342,12 @@ def test_long_lived_template_keeps_a_bounded_marginal_cache():
     # what fill the cache; a template that only ``is_valid`` reads keeps at
     # most its 2**3 pivot marginals and its full table.
     d = template_distribution(64, "XOR", (1, 32, 64))
-    alone = template_distribution.__wrapped__(64, "XOR", (1, 32, 64))
+    alone = JointDistribution(d.alphabet_sizes, d.pmf)
     rng = random.Random(64)
     sizes = []
     for _ in range(300):
         k = random_cmi(rng, 64)
-        fresh = template_distribution.__wrapped__(64, "XOR", (1, 32, 64))
+        fresh = JointDistribution(d.alphabet_sizes, d.pmf)
         assert is_valid(d, k) == is_valid(fresh, k) == is_valid(alone, k)
         entropy(d, {i for i in range(1, 65) if rng.random() < 0.5})
         sizes.append(len(d._counts))
@@ -336,7 +374,7 @@ def test_threads_share_one_memoised_template_safely():
         try:
             for _ in range(400):
                 k = random_cmi(rng, 64)
-                fresh = template_distribution.__wrapped__(64, "COPY3", (2, 33, 63))
+                fresh = JointDistribution(d.alphabet_sizes, d.pmf)
                 assert is_valid(d, k) == is_valid(fresh, k)
                 for _ in range(2):
                     s = {i for i in range(1, 65) if rng.random() < 0.5}
