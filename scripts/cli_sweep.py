@@ -191,12 +191,16 @@ CASES = [
     ["check", "I(1 ; 2)", "--n", "2", "--dist", "<tmp>/respelled.txt"],
     # An XOR plan with pivots (2, 1, 4), out of sorted order.
     ["witness", "I(1 ; 2 ; 3)", "I(2 ; 1,3 | 4)", "--n", "4"],
+    # Loose spellings of valid statements, and errors found only by the token walk.
+    ["canon", "I( { } ; 2 ,1 |\t3 )", "--n", "3"],
+    ["equiv", "I(1 ;\n 2 | 3)", "I(2;1|3)", "--n", "3", "--json"],
+    *(["canon", text, "--n", "5"] for text in ("I(1|)", "I(1 2)", "I(1;2)(3)")),
 ]
 
 
 def _label(argv: list[str]) -> str:
-    """The invocation as shell words, each over-long argument abbreviated."""
-    return shlex.join(a if len(a) <= 40 else f"{a[:12]}...[{len(a)} chars]" for a in argv)
+    """The invocation as shell words on one line: each over-long argument abbreviated, each newline written ``\\n``."""
+    return shlex.join(a if len(a) <= 40 else f"{a[:12]}...[{len(a)} chars]" for a in argv).replace("\n", "\\n")
 
 
 def run_case(argv: list[str], tmp: str) -> tuple[int, str]:

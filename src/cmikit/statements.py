@@ -32,9 +32,10 @@ IndexSet = frozenset[int]
 MAX_GROUND_SET = 64
 
 
-def _check_ground(n: int) -> None:
-    if not 0 <= n <= MAX_GROUND_SET:
+def _check_ground(n: int) -> int:
+    if not 0 <= (n := index(n)) <= MAX_GROUND_SET:
         raise ValueError(f"ground-set size must be in 0..{MAX_GROUND_SET}, got {n}")
+    return n
 
 
 def _coerce_index_set(members: Iterable[int]) -> IndexSet:
@@ -129,7 +130,7 @@ class Cmi(_Frozen):
     _fields = ("n", "cond", "blocks")
 
     def __new__(cls, n: int, cond: Iterable[int] = frozenset(), blocks: Iterable[Iterable[int]] = ()) -> Cmi:
-        _check_ground(n)
+        n = _check_ground(n)
         cond_mask = _mask_of(cond, n, "conditioning set contains index")
         return cls._from_masks(n, cond_mask, [_mask_of(b, n, "block contains index") for b in blocks])
 
@@ -170,7 +171,7 @@ class CanonicalCmi(_Frozen):
         cls, n: int, cond: Iterable[int] = frozenset(), repeated: Iterable[int] = frozenset(),
         parts: Iterable[Iterable[int]] = (), degenerate: bool = False
     ) -> CanonicalCmi:
-        _check_ground(n)
+        n = _check_ground(n)
         cond = _coerce_index_set(cond)
         rep = _coerce_index_set(repeated)
         parts = sorted((_coerce_index_set(p) for p in parts), key=block_key)
@@ -211,7 +212,7 @@ class CanonicalCmi(_Frozen):
 
     @classmethod
     def degenerate_form(cls, n: int) -> "CanonicalCmi":
-        _check_ground(n)
+        n = _check_ground(n)
         return cls._from_masks(n, 0, 0, ())
 
     def as_cmi(self) -> Cmi:

@@ -5,8 +5,9 @@ index blocks, an optional ``|``-prefixed conditioning list and ``{}`` for an
 explicitly empty block.  Its tokens are runs of decimal digits
 (``str.isdecimal``, so ``٣`` is 3) and single other characters; whitespace
 (``str.isspace``) separates tokens and is otherwise ignored.  ``parse_cmi``
-reads the tokens in one loop that builds each block's mask as it goes, and
-finds an error's line and column only when it raises.  Distributions use
+reads a well-formed statement by one pattern match and ``str.split``; only a
+text it rejects is walked token by token, to find the first error's line and
+column.  Distributions use
 a line format with a ``vars:`` header declaring alphabet sizes followed by one
 ``symbols : probability`` row per support point; ``#`` starts a comment.  Their
 parser converts each distinct spelling once, per symbol column and per probability.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, repeat
-from operator import itemgetter, lshift
+from operator import index, itemgetter, lshift
 
 from .statements import MAX_GROUND_SET, Cmi, _indices
 
@@ -34,13 +35,14 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-_TOKEN = re.compile(r"\d+|\S")
+_TOKEN = r"\d+|\S"  # compiled, through re's own cache, only to explain an error
+_SHAPE = re.compile(r"\s*I\s*\(([\d\s,;{}]*)(?:\|([\d\s,]*))?\)\s*")  # I( blocks [| condition] )
 
 
 def _error(text: str, i: int, message: str) -> ParseError:
     """The error at the ``i``-th token, or at the end of input past the last, with its 1-based line and column."""
     # Positions are only needed here, so they are found again on error.
-    at = ([m.start() for m in _TOKEN.finditer(text)] + [len(text)])[i]
+    at = ([m.start() for m in re.finditer(_TOKEN, text)] + [len(text)])[i]
     return ParseError(text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at), message)
 
 
@@ -52,20 +54,45 @@ def parse_cmi(text: str, n: int) -> Cmi:
     """Parse statement syntax ``I(BLOCK ; ... ; BLOCK | COND)`` over ``{1..n}``.
 
     Blocks are kept in written order (they are a multiset, but block-positional
-    transforms care); indices are validated against the ground set at their
-    source position.  One loop reads the tokens, ``""`` last for end of input:
-    each turn reads an index (or a ``{}`` block) and the token after it, and
-    ORs the index into the mask of the block or condition being read.
+    transforms care).  Every text the grammar accepts is read by one match of its
+    shape, then ``str.split`` on ``;`` and ``,``: each stripped index word is converted,
+    range-checked and ORed into its block's mask.  Any other text goes to
+    ``_raise_statement_error``, whose token walk raises the first error at its position.
     """
-    if not 1 <= n <= MAX_GROUND_SET:
+    if not 1 <= (n := index(n)) <= MAX_GROUND_SET:
         raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}, got {n}")
-    tokens = _TOKEN.findall(text)
+    shape = _SHAPE.fullmatch(text)
+    if shape is None:
+        _raise_statement_error(text, n)
+    body, cond = shape.groups()
+    parts = body.split(";") if body.strip() else []  # "I()" and "I(| ...)" have no blocks
+    if cond is not None:
+        parts.append(cond)
+    masks = []
+    try:
+        for part in parts:
+            mask = 0
+            if "{" not in part or "".join(part.split()) != "{}":  # "{}" is a whole, empty block
+                for word in part.split(","):  # a brace out of place fails int()
+                    value = int(word.strip())  # int() alone keeps U+001C..U+001F, which str.strip drops
+                    if not 0 < value <= n:
+                        raise ValueError("index outside the ground set")
+                    mask |= 1 << (value - 1)
+            masks.append(mask)
+    except ValueError:  # also a digit run longer than int() converts
+        _raise_statement_error(text, n)
+    return Cmi._from_masks(n, masks.pop() if cond is not None else 0, masks)
+
+
+def _raise_statement_error(text: str, n: int) -> None:
+    """Raise the first error of ``text``: each turn of one loop over its tokens (``""`` last,
+    for end of input) reads an index (or a ``{}`` block) and the token after it."""
+    tokens = re.findall(_TOKEN, text)
     tokens.append("")
     if tokens[0] != "I" or tokens[1] != "(":
         i = tokens[0] == "I"
         raise _error(text, i, f"expected {'I('[i]!r}, found {_found(tokens[i])}")
-    blocks: list[int] = []
-    mask, i, token = 0, 2, tokens[2]
+    i, token = 2, tokens[2]
     in_cond = token == "|"  # "I(|" starts the condition; "I()" reads nothing
     i += in_cond
     while token != ")" or in_cond:
@@ -77,7 +104,6 @@ def parse_cmi(text: str, n: int) -> Cmi:
                 raise _error(text, i, f"number too long ({len(token)} digits)") from None
             if not 0 < value <= n:
                 raise _error(text, i, f"index {value} outside the ground set 1..{n}")
-            mask |= 1 << (value - 1)
             i += 1
             token = tokens[i]
             if token == ",":
@@ -93,8 +119,6 @@ def parse_cmi(text: str, n: int) -> Cmi:
             raise _error(text, i, f"expected a variable index, found {_found(token)}")
         if in_cond:  # the condition ends the statement
             break
-        blocks.append(mask)
-        mask = 0
         if token == "|":
             in_cond = True
         elif token != ";":
@@ -104,7 +128,7 @@ def parse_cmi(text: str, n: int) -> Cmi:
         raise _error(text, i, f"expected ')', found {_found(token)}")
     if tokens[i + 1]:
         raise _error(text, i + 1, "unexpected text after statement")
-    return Cmi._from_masks(n, mask, blocks)  # mask: the condition, 0 when none was read
+    raise AssertionError(f"the statement shape rejects {text!r}, but its tokens parse")
 
 
 def render_cmi(k: Cmi) -> str:

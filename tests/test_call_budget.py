@@ -15,6 +15,7 @@ import pytest
 
 from cmikit.distributions import is_valid
 from cmikit.statements import canonicalize, enumerate_canonical, implies
+from cmikit.textio import parse_cmi
 from cmikit.witnesses import witness_non_implication
 
 
@@ -77,3 +78,19 @@ def test_an_is_valid_memo_hit_is_one_call(warm_pairs):
     assert calls((is_valid, w.distribution, premise)) == 1
     assert calls((is_valid, w.distribution, conclusion)) == 1
     assert is_valid(w.distribution, premise) and not is_valid(w.distribution, conclusion)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("I(1,2 ; 3 | 4)", 5),
+        ("I()", 3),
+        ("I(| 3)", 4),
+        ("I( { } ; 2 ,1 |\t3 )", 3),
+        ("I(30, 3; 30, 17, 42, 41; 41, 30, 42, 17; 30, 42, 41, 10; 4, 27, 42, 3 | 17)", 55),
+        ("I(\u0663\x1c;\n 1,\u30002 | 4\x1f)", 4),
+    ],
+)
+def test_parsing_a_valid_statement_is_at_most_two_calls(text, n):
+    # parse_cmi and Cmi._from_masks: no helper call per block or per index.
+    assert calls((parse_cmi, text, n)) <= 2

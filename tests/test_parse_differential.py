@@ -1,10 +1,13 @@
 """The library's text parsers against the reference parsers in ``textio_reference``.
 
-``parse_cmi`` reads a statement's tokens in one loop; the reference
-``textio_reference.parse_cmi`` is the token walk it replaced.  On loosely
-spelled statements, some with one or two mutations, both must give an equal
-statement with its blocks in the same written order, or the same
-``ParseError``: line, column and message.
+``parse_cmi`` reads a well-formed statement by one pattern match and
+``str.split``, and walks a rejected text's tokens only to explain its error;
+the reference ``textio_reference.parse_cmi`` is the older token walk with one
+helper call per block.  On loosely spelled statements, some with one or two
+mutations, both must give an equal statement with its blocks in the same
+written order, or the same ``ParseError``: line, column and message.  No
+unmutated text may reach the error walk, and whitespace that ``int()`` does not
+strip (U+001C..U+001F) may touch any index.
 
 ``parse_distribution`` checks every row rule on whole columns, converting each
 distinct spelling once, and only walks the rows to locate an error;
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import textio_reference
-from cmikit import ParseError, parse_cmi, parse_distribution, textio
+from cmikit import Cmi, ParseError, parse_cmi, parse_distribution, textio
 
 # Whitespace of several kinds: U+3000 ideographic space, U+001C file separator,
 # U+0085 next line, and a carriage return (as left by a \r\n ending).
@@ -343,3 +346,25 @@ def test_statement_texts_reach_every_outcome():
         "index 0 outside the ground set N..N", "index N outside the ground set N..N",
         "number too long (N digits)", "unexpected text after statement",
     }, messages
+
+
+def test_information_separators_next_to_indices_are_whitespace():
+    # U+001C..U+001F are whitespace to str.isspace, str.split and the token
+    # pattern, but int() does not strip them: here they touch every index, sit
+    # inside "{ }" and come right before "|" and ")".
+    for sep in "\x1c\x1d\x1e\x1f":
+        text = "".join(f"{sep}{t}" for t in "I ( 1 , 2 ; { } ; 3 | 4 , 5 )".split()) + sep
+        assert same_statement(text, 5) == ("ok", Cmi(5, {4, 5}, ({1, 2}, (), {3})), (0b11, 0, 0b100))
+
+
+def test_every_unmutated_statement_takes_the_accept_path(monkeypatch):
+    # The token walk only explains errors: no text the grammar accepts may reach it.
+    def unreachable(text, n):
+        raise AssertionError(f"the error walk ran on {text!r}")
+
+    monkeypatch.setattr(textio, "_raise_statement_error", unreachable)
+    rng = random.Random(29)
+    for _ in range(200):
+        text, n = loose_statement(rng, [])
+        want = statement_result(textio_reference.parse_cmi, text, n)
+        assert want[0] == "ok" and statement_result(parse_cmi, text, n) == want, (text, n)

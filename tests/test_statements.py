@@ -638,3 +638,25 @@ def test_non_integral_indices_raise_type_error(build, bad):
 def test_bool_indices_are_still_integers():
     assert Cmi(3, [True], ([2], [3])) == Cmi(3, [1], ([2], [3]))
     assert CanonicalCmi(3, [], [True], ()) == CanonicalCmi(3, [], [1], ())
+
+
+# Kept as given, such a size would make a statement that ``implies`` refuses to
+# compare with one over an integral ground set: "ground-set sizes differ".
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", Fraction(3, 1)], ids=["float", "whole-float", "str", "Fraction"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda n: Cmi(n, [], ([1], [2])), id="cmi"),
+        pytest.param(lambda n: CanonicalCmi(n, [], [], ([1], [2])), id="canonical"),
+        pytest.param(CanonicalCmi.degenerate_form, id="degenerate"),
+    ],
+)
+def test_non_integral_ground_set_sizes_raise_type_error(build, bad):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build(bad)
+
+
+def test_a_bool_ground_set_size_is_stored_as_an_int():
+    for value in (Cmi(True, [], ([1],)), CanonicalCmi(True, [], [1]), CanonicalCmi.degenerate_form(True)):
+        assert value.n == 1 and type(value.n) is int
+    assert implies(Cmi(True, [], ([1], [1])), Cmi(1, [], ([1], [1])))

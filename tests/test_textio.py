@@ -1,6 +1,7 @@
 """Statement and distribution text formats: goldens, positions, round-trips."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -80,6 +81,12 @@ def test_parse_cmi_validates_ground_set_size():
         parse_cmi("I()", 0)
     with pytest.raises(ValueError, match="1..64"):
         parse_cmi("I()", 65)
+    # A non-integer size raises, as in the constructors; a bool is stored as an int.
+    for bad in (3.0, 2.5, "3", Fraction(3, 1)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            parse_cmi("I(1 ; 2)", bad)
+    k = parse_cmi("I(1 ; 1)", True)
+    assert k == Cmi(1, set(), ({1}, {1})) and type(k.n) is int
 
 
 def test_whitespace_splits_and_decimal_digits_join_tokens():
@@ -96,7 +103,7 @@ def test_whitespace_splits_and_decimal_digits_join_tokens():
                 expected += ["x", f"1{c}1"]
             else:
                 expected += ["x", "1", c, "1"]
-        assert _TOKEN.findall("".join(f"x1{c}1" for c in chunk)) == expected, hex(lo)
+        assert re.findall(_TOKEN, "".join(f"x1{c}1" for c in chunk)) == expected, hex(lo)
     ws = SPACES
     text = f"{ws}I{ws}({ws}1{ws};{ws}2{ws}|{ws}3{ws}){ws}"
     assert parse_cmi(text, 3) == Cmi(3, {3}, ({1}, {2}))
