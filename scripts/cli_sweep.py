@@ -66,6 +66,11 @@ FILES = {
     "lastdup.txt": GRID_HEAD + "".join(GRID_ROWS[:-1]) + GRID_ROWS[0],
     # A duplicate outcome spelled differently: rows are told apart by value.
     "respelled.txt": "vars: X1:2 X2:2\n0 0 : 1/2\n00 0 : 1/2\n",
+    # X2 is X1 mod 2, a function of X1; X3 is an independent bit.
+    "function.txt": (
+        "vars: X1:3 X2:2 X3:2\n0 0 0 : 1/8\n0 0 1 : 1/8\n1 1 0 : 1/6\n1 1 1 : 1/6\n"
+        "2 0 0 : 5/24\n2 0 1 : 5/24\n"
+    ),
 }
 
 # The invocations; ``<tmp>`` stands for the temporary directory.
@@ -195,6 +200,16 @@ CASES = [
     ["canon", "I( { } ; 2 ,1 |\t3 )", "--n", "3"],
     ["equiv", "I(1 ;\n 2 | 3)", "I(2;1|3)", "--n", "3", "--json"],
     *(["canon", text, "--n", "5"] for text in ("I(1|)", "I(1 2)", "I(1;2)(3)")),
+    # Blocks that the condition determines, so that the validity check drops them.
+    ["check", "I(2 ; 2 | 1)", "--n", "3", "--dist", "<tmp>/function.txt"],
+    ["check", "I(2 ; 3 ; 2 | 1)", "--n", "3", "--dist", "<tmp>/function.txt", "--json"],
+    ["check", "I(1,2 ; 3 ; 2 | 1)", "--n", "3", "--dist", "<tmp>/function.txt", "--verify"],
+    ["check", "I(2 ; 2 | 3)", "--n", "3", "--dist", "<tmp>/function.txt"],
+    ["check", "I(1 ; 2 ; 2 | 3)", "--n", "3", "--dist", "<tmp>/function.txt", "--json"],
+    ["entropy", "I(2;2|1)", "I(2;3;2|1)", "I(1;2)", "I(2|1)", "I(1,2;3)", "--n", "3", "--dist", "<tmp>/function.txt"],
+    ["entropy", "I(2;2|3)", "I(1;2;2|3)", "--n", "3", "--dist", "<tmp>/function.txt", "--json"],
+    ["decompose", "I(2 ; 2 ; 3 | 1)", "--n", "3", "--verify"],
+    ["decompose", "I(1,2 ; 3 ; 2 | 1)", "--n", "3", "--verify", "--json"],
 ]
 
 

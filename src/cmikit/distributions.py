@@ -16,14 +16,16 @@ diagnostics and cross-checks, never inside the validity decision.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import and_, index, mul, or_
+from typing import TYPE_CHECKING
 
 from .statements import Cmi, _indices, _mask_of
+
+if TYPE_CHECKING:  # for annotations: built where used, a cold ``check`` loads neither ``fractions`` nor ``decimal``
+    from fractions import Fraction
 
 Assignment = tuple[int, ...]
 
@@ -32,10 +34,11 @@ TOLERANCE = 1e-9
 
 
 #: Marginal tables one distribution keeps, its full pmf included, and also
-#: the ``is_valid`` verdicts it keeps.  All 2**8 marginals of a distribution
-#: over up to 8 variables fit (a planted oracle distribution holds 58-103
-#: after its 24 queries), so only wider ones drop back to the full table.
-#: That bounds what a long-lived one, such as a witness template, holds.
+#: the ``is_valid`` verdicts and the entropies (one per mask) it keeps.  All
+#: 2**8 marginals of a distribution over up to 8 variables fit (a planted
+#: oracle distribution holds 58-103 after its 24 queries), so only wider ones
+#: drop back to empty (the marginals to the full table).  That bounds what a
+#: long-lived one, such as a witness template, holds.
 MARGINAL_CACHE_SIZE = 256
 
 
@@ -90,6 +93,7 @@ class _PmfView(Mapping):
         self._width = width
 
     def __getitem__(self, outcome: Assignment) -> Fraction:
+        from fractions import Fraction
         try:  # a non-tuple, a wrong arity or a bad symbol is no key
             if isinstance(outcome, tuple):
                 return Fraction(self._weights[_pack(outcome, self._sizes, self._width)], self._denominator)
@@ -114,6 +118,7 @@ class _PmfView(Mapping):
 
     def _as_dict(self) -> dict[Assignment, Fraction]:
         """Decoded outcomes zipped with their weights' fractions: no lookup packs a tuple again."""
+        from fractions import Fraction
         return dict(zip(self, map(Fraction, self._weights.values(), repeat(self._denominator))))
 
 
@@ -127,9 +132,12 @@ class JointDistribution:
     point to its ``Fraction``.
     """
 
-    __slots__ = ("n", "alphabet_sizes", "pmf", "_weights", "_denominator", "_width", "_counts", "_live", "_verdicts")
+    __slots__ = (
+        "n", "alphabet_sizes", "pmf", "_weights", "_denominator", "_width", "_counts", "_live", "_verdicts", "_entropies"
+    )
 
     def __init__(self, alphabet_sizes: Sequence[int], pmf: Mapping[Assignment, Fraction]) -> None:
+        from fractions import Fraction
         sizes = tuple(map(index, alphabet_sizes))
         for s in sizes:
             if s < 1:
@@ -183,6 +191,7 @@ class JointDistribution:
             live, diff = live | 1 << i, diff & ~(ones << width * i)
         self._live = live
         self._verdicts: dict[tuple[int, ...], bool] = {}  # is_valid's, by erased shape
+        self._entropies: dict[int, float] = {}  # by variable mask
 
     def _mask(self, indices: Iterable[int]) -> int:
         return _mask_of(sorted(map(index, indices)), self.n, "variable index")
@@ -213,6 +222,7 @@ class JointDistribution:
 
     def marginal(self, indices: Iterable[int]) -> dict[Assignment, Fraction]:
         """Marginal pmf of the 1-based variables ``indices``, keyed by sorted order."""
+        from fractions import Fraction
         d, mask = self._denominator, self._mask(indices)
         counts = self._marginal_counts(mask)
         return {o: Fraction(c, d) for o, c in zip(_unpack(counts, self._width, mask), counts.values())}
@@ -244,13 +254,20 @@ def entropy(p: JointDistribution, indices: Iterable[int]) -> float:
 
 
 def _entropy(p: JointDistribution, mask: int) -> float:
-    d = p._denominator
-    total = 0.0
+    """Entropy of the marginal on ``mask``, memoised: the table's key order, so the float, never changes."""
+    total = p._entropies.get(mask)
+    if total is not None:
+        return total
+    d, total = p._denominator, 0.0
     for c in p._marginal_counts(mask).values():
         # Integer true division is correctly rounded, as float(Fraction(c, d)) is.
         q = c / d
         total -= q * math.log2(q)
-    return total + 0.0  # normalize -0.0 away
+    total += 0.0  # normalize -0.0 away
+    if len(p._entropies) >= MARGINAL_CACHE_SIZE:
+        p._entropies = {}
+    p._entropies[mask] = total
+    return total
 
 
 def cond_entropy(p: JointDistribution, a: Iterable[int], c: Iterable[int]) -> float:
@@ -309,7 +326,11 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     changes, and a block they empty contributes a factor ``c(y)`` that
     cancels one power of ``c(y)``, so it is dropped; at most one block left
     holds trivially.  A witness template's check thus reads only marginals of
-    its 1-3 pivots.
+    its 1-3 pivots.  A block that the condition determines (functional
+    dependence: its ``C|block`` table has exactly as many rows as ``C``'s) takes
+    one value per class ``y`` on the support, so ``c(z_B, y) = c(y)`` and it is
+    dropped by the same argument, once its table is read; if at most one block
+    is left, True is stored without a walk.
 
     The verdict thus depends only on ``p`` and the erased shape ``(C, *blocks)``,
     which ``p`` memoises (at most ``MARGINAL_CACHE_SIZE`` shapes, then it drops
@@ -330,19 +351,25 @@ def is_valid(p: JointDistribution, k: Cmi) -> bool:
     if verdict is not None:
         return verdict
     joint = p._marginal_counts(reduce(or_, blocks, cond))  # blocks may overlap
-    width, lookups, scale, power = p._width, [], {}, len(blocks) - 1
+    width, tables, lookups, scale = p._width, [], [], {}
     for b in blocks:  # plain loops, as above
-        lookups.append((_fields(cond | b, width), p._marginal_counts(cond | b)))
-    for y, cy in p._marginal_counts(cond).items():
-        scale[y] = cy**power
-    cond_field, verdict = _fields(cond, width), True
-    for code, czy in joint.items():
-        rhs = 1
-        for field, counts in lookups:
-            rhs *= counts[code & field]
-        if czy * scale[code & cond_field] != rhs:
-            verdict = False
-            break
+        tables.append((_fields(cond | b, width), p._marginal_counts(cond | b)))
+    classes = p._marginal_counts(cond)
+    for field, counts in tables:  # a block with one value per class y is dropped
+        if len(counts) > len(classes):
+            lookups.append((field, counts))
+    verdict, power = True, len(lookups) - 1
+    if power > 0:  # at most one block left holds without a walk
+        for y, cy in classes.items():
+            scale[y] = cy**power
+        cond_field = _fields(cond, width)
+        for code, czy in joint.items():
+            rhs = 1
+            for field, counts in lookups:
+                rhs *= counts[code & field]
+            if czy * scale[code & cond_field] != rhs:
+                verdict = False
+                break
     if len(p._verdicts) >= MARGINAL_CACHE_SIZE:
         p._verdicts = {}
     p._verdicts[key] = verdict
@@ -375,6 +402,7 @@ def random_distribution(
             raise ValueError(f"alphabet sizes must be in 1..4, got {s}")
     if mass_grain < 1:
         raise ValueError(f"mass_grain must be >= 1, got {mass_grain}")
+    import random
     rng, width, total = random.Random(seed), _width(sizes), math.prod(sizes)
     counts: dict[int, int] = {}
     for _ in range(mass_grain):

@@ -19,6 +19,7 @@ which the parser rejects).
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import chain, repeat
 from operator import index, itemgetter, lshift
@@ -144,7 +145,7 @@ def render_cmi(k: Cmi) -> str:
     return f"I({blocks})"
 
 
-_WORD = re.compile(r"\S+")
+_WORD = r"\S+"  # compiled, through re's own cache, only when a distribution is read
 
 
 def parse_distribution(text: str) -> JointDistribution:
@@ -162,8 +163,6 @@ def parse_distribution(text: str) -> JointDistribution:
     distinct spellings are converted and range-checked once; only an error walks the rows.
     """
     # Imported here, so that statement-only callers never load the distribution layer.
-    from fractions import Fraction
-
     from .distributions import JointDistribution, _common_denominator, _width
 
     lines = [line for line, _, _ in map(str.partition, text.split("\n"), repeat("#"))]
@@ -177,7 +176,7 @@ def parse_distribution(text: str) -> JointDistribution:
     if not body.startswith("vars:"):
         raise ParseError(lineno, indent + 1, "expected 'vars:' header line")
     sizes = []
-    for m in _WORD.finditer(line, indent + len("vars:")):
+    for m in re.compile(_WORD).finditer(line, indent + len("vars:")):
         name, sep, size_text = m.group().rpartition(":")
         col = m.start() + 1
         if not sep or not name or not size_text.isdecimal():
@@ -197,6 +196,7 @@ def parse_distribution(text: str) -> JointDistribution:
     weights, denominator = _common_denominator(*columns)
     total = sum(weights.values())
     if total != denominator:
+        from fractions import Fraction
         raise ParseError(1, 1, f"probabilities sum to {Fraction(total, denominator)}, expected 1")
     return JointDistribution._from_weights(tuple(sizes), weights, denominator)
 
@@ -239,6 +239,7 @@ def _columns(rows: list[str], sizes: list[int], shifts: range) -> tuple[list[int
 def _raise_row_error(lines: list[str], header: int, sizes: list[int]) -> None:
     """Raise the error of the first malformed row after the header on line ``header``."""
     seen: set[tuple[int, ...]] = set()
+    words = re.compile(_WORD)
     for lineno, line in enumerate(lines[header:], start=header + 1):
         body = line.lstrip()
         if not body:
@@ -247,7 +248,7 @@ def _raise_row_error(lines: list[str], header: int, sizes: list[int]) -> None:
         colon = line.rfind(":")
         if colon == -1:
             raise ParseError(lineno, indent + 1, "expected 'SYMBOLS : PROBABILITY' row")
-        sym_tokens = list(_WORD.finditer(line, 0, colon))
+        sym_tokens = list(words.finditer(line, 0, colon))
         if len(sym_tokens) != len(sizes):
             raise ParseError(lineno, indent + 1, f"expected {len(sizes)} symbols, got {len(sym_tokens)}")
         for i, (m, size) in enumerate(zip(sym_tokens, sizes), start=1):
@@ -257,10 +258,10 @@ def _raise_row_error(lines: list[str], header: int, sizes: list[int]) -> None:
             s = _int(word, lineno, col)
             if s >= size:
                 raise ParseError(lineno, col, f"symbol {s} of variable {i} outside its alphabet 0..{size - 1}")
-        rat = _WORD.search(line, colon + 1)
+        rat = words.search(line, colon + 1)
         if rat is None:
             raise ParseError(lineno, colon + 2, "missing probability after ':'")
-        extra = _WORD.search(line, rat.end())
+        extra = words.search(line, rat.end())
         if extra is not None:
             raise ParseError(lineno, extra.start() + 1, "unexpected text after probability")
         num, slash, den = rat.group().partition("/")
@@ -276,9 +277,10 @@ def _raise_row_error(lines: list[str], header: int, sizes: list[int]) -> None:
 
 
 def render_distribution(p: JointDistribution) -> str:
-    """Canonical distribution text: positional names, sorted rows, lowest terms."""
+    """Canonical distribution text: positional names, sorted rows, lowest terms (by ``math.gcd``: no ``Fraction``)."""
     header = "vars: " + " ".join(f"X{i}:{s}" for i, s in enumerate(p.alphabet_sizes, start=1))
-    lines = [header.rstrip()]
-    for outcome, q in sorted(p.pmf.items()):
-        lines.append(" ".join(str(s) for s in outcome) + f" : {q.numerator}/{q.denominator}")
+    lines, d = [header.rstrip()], p._denominator
+    for outcome, w in sorted(zip(p.pmf, p._weights.values())):
+        g = math.gcd(w, d)
+        lines.append(" ".join(str(s) for s in outcome) + f" : {w // g}/{d // g}")
     return "\n".join(lines) + "\n"

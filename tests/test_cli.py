@@ -418,10 +418,9 @@ print(code, [m for m in heavy if m in sys.modules])
         (["canon", "I(1,2 ; 2,3 | 1)", "--n", "3"], "0 []"),
         (["implies", "I(1 ; 2,3)", "I(1 ; 2)", "--n", "3"], "0 []"),
         (["decompose", "I(1;2;3|4)", "--n", "4"], "0 []"),
-        (["check", "I(1 ; 2)", "--n", "3", "--dist", "<xor>"],
-         "0 ['cmikit.distributions', 'fractions', 'decimal']"),
-        (["implies", "I(1 ; 2)", "I(1 ; 2 | 3)", "--n", "3"],
-         "1 ['cmikit.distributions', 'cmikit.witnesses', 'fractions', 'decimal']"),
+        # Neither a check nor a witness builds a Fraction, so neither loads fractions (nor decimal).
+        (["check", "I(1 ; 2)", "--n", "3", "--dist", "<xor>"], "0 ['cmikit.distributions']"),
+        (["implies", "I(1 ; 2)", "I(1 ; 2 | 3)", "--n", "3"], "1 ['cmikit.distributions', 'cmikit.witnesses']"),
     ],
 )
 def test_commands_load_the_distribution_and_witness_layers_only_when_used(xor_file, argv, loaded):

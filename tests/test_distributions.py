@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracle_reference import fraction_marginal
+from oracle_reference import brute_valid, fraction_marginal
 from samplers import random_cmi, random_joint
 from cmikit import (
     Cmi,
@@ -178,6 +178,129 @@ def test_is_valid_degenerate_and_trivial_alphabets():
 def test_is_valid_requires_matching_ground_set():
     with pytest.raises(ValueError, match="ground set"):
         is_valid(COPY2, Cmi(3, set(), ()))
+
+
+def functional_joint(rng):
+    """A pmf in which some variables are functions of the condition, and a statement over it.
+
+    The 1-2 condition variables have a random joint pmf.  2-3 free variables are
+    independent of them and of each other.  Each other variable copies a free one
+    or is a random function of the condition variables.  The statement writes most
+    free variables as blocks, each holding its copies (a copy split off into a block
+    of its own breaks it), and each function of the condition as a block; now and
+    then its condition misses one of the condition variables.
+    """
+    kinds = ["cond"] * rng.randint(1, 2) + ["free"] * rng.randint(2, 3)
+    kinds += rng.choices(("copy", "function"), k=rng.randint(1, 3))
+    sizes = [rng.randint(2, 3) for _ in kinds]
+    cond = [v for v, kind in enumerate(kinds) if kind == "cond"]
+    free = [v for v, kind in enumerate(kinds) if kind == "free"]
+    ys = list(itertools.product(*(range(sizes[v]) for v in cond)))
+    source = {v: rng.choice(free) for v, kind in enumerate(kinds) if kind == "copy"}
+    table = {v: {y: rng.randrange(sizes[v]) for y in ys} for v, kind in enumerate(kinds) if kind == "function"}
+    for v, f in source.items():
+        sizes[v] = sizes[f]
+    cond_weights = [rng.choice((0, 1, 2)) for _ in ys]
+    free_weights = [[rng.choice((0, 1, 2, 3)) for _ in range(sizes[f])] for f in free]
+    for w in (cond_weights, *free_weights):
+        w[rng.randrange(len(w))] += 1  # some symbol has mass
+    rows = {}
+    for y, wy in zip(ys, cond_weights):
+        for xs in itertools.product(*(range(sizes[f]) for f in free)):
+            weight = wy * math.prod(w[x] for w, x in zip(free_weights, xs))
+            if weight:
+                row = [0] * len(kinds)
+                for v, value in (*zip(cond, y), *zip(free, xs)):
+                    row[v] = value
+                for v, f in source.items():
+                    row[v] = row[f]
+                for v, values in table.items():
+                    row[v] = values[y]
+                rows[tuple(row)] = weight
+    total = sum(rows.values())
+    p = JointDistribution(sizes, {o: Fraction(w, total) for o, w in rows.items()})
+    blocks = []
+    for f in free:
+        if rng.random() < 0.7:
+            block = {f}
+            blocks.append(block)
+            for v in (v for v, g in source.items() if g == f):
+                if rng.random() < 0.8:
+                    block.add(v)
+                else:
+                    blocks.append({v})
+    blocks += [{v} for v in table]
+    given = set(cond)
+    if len(cond) > 1 and rng.random() < 0.2:
+        given.discard(rng.choice(cond))
+    return p, Cmi(len(kinds), {v + 1 for v in given}, [{v + 1 for v in b} for b in blocks])
+
+
+def undetermined_blocks(p, k):
+    """How many of ``k``'s blocks mention a non-constant variable outside the
+    condition, and how many of those are no function of the condition on the
+    support: read from ``p.pmf`` alone."""
+    support = list(p.pmf)
+    live = {i for i in range(1, p.n + 1) if len({o[i - 1] for o in support}) > 1}
+    cond = sorted(k.cond)
+    mentioned, undetermined = 0, 0
+    for b in k.blocks:
+        rest = sorted((b - k.cond) & live)
+        if not rest:
+            continue
+        mentioned += 1
+        values = {}
+        for o in support:
+            values.setdefault(tuple(o[i - 1] for i in cond), set()).add(tuple(o[i - 1] for i in rest))
+        undetermined += any(len(v) > 1 for v in values.values())
+    return mentioned, undetermined
+
+
+def test_is_valid_with_blocks_the_condition_determines_matches_the_definition():
+    # A block that the condition determines is dropped before the walk.  The
+    # verdict must still be the definition's, whether 0, 1, or 2 or more blocks
+    # are left, and whether or not the statement holds.
+    rng = random.Random(30)
+    seen = set()
+    for trial in range(900):
+        if trial % 3 == 0:
+            n = rng.randint(2, 6)
+            p, k = random_joint(rng, n, trial), random_cmi(rng, n)
+        else:
+            p, k = functional_joint(rng)
+            if trial % 3 == 1:  # small random blocks over the same pmf
+                n = k.n
+                k = Cmi(n, k.cond, [rng.sample(range(1, n + 1), rng.randint(1, 2)) for _ in range(rng.randint(2, 4))])
+        if rng.random() < 0.5:  # a repeated block
+            k = Cmi(k.n, k.cond, (*k.blocks, *rng.sample(k.blocks, min(1, len(k.blocks)))))
+        expected = brute_valid(p, k)
+        assert is_valid(p, k) == expected == is_valid(fresh_copy(p), k), (trial, k)
+        mentioned, undetermined = undetermined_blocks(p, k)
+        if mentioned >= 2 and undetermined < mentioned:  # a block is dropped on the walk's path
+            seen.add((min(undetermined, 2), expected))
+    assert seen == {(0, True), (1, True), (2, True), (2, False)}, seen
+
+
+class _NoWalk(dict):
+    """A joint table that refuses to be walked."""
+
+    def items(self):
+        raise AssertionError("walked the joint support")
+
+
+def test_at_most_one_undetermined_block_is_decided_without_a_walk():
+    # X2 = X1 mod 2 and X3 is an independent bit.  With every C|block table and
+    # C's cached, a statement left with one undetermined block reads no joint
+    # support point; one left with two still walks it.
+    rows = {(0, 0, 0): 8, (0, 0, 1): 8, (1, 1, 0): 6, (1, 1, 1): 6, (2, 0, 0): 5, (2, 0, 1): 5}
+    p = JointDistribution((3, 2, 2), {o: Fraction(w, 38) for o, w in rows.items()})
+    for s in ([1], [1, 2], [1, 3]):
+        entropy(p, s)
+    p._counts[0b111] = _NoWalk(p._counts[0b111])
+    assert is_valid(p, Cmi(3, [1], [[2], [3]]))
+    assert is_valid(p, Cmi(3, [1], [[2], [2], [3]]))
+    with pytest.raises(AssertionError, match="walked"):
+        is_valid(p, Cmi(3, [1], [[2], [3], [3]]))
 
 
 def test_random_distribution_is_deterministic_and_exact():
@@ -428,6 +551,24 @@ def test_verdict_memo_stays_bounded_and_agrees_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def test_memoised_entropies_are_the_floats_a_fresh_distribution_sums():
+    # Each mask's entropy is summed once per distribution, then read back from
+    # its memo; what a warm object reads back is what a cold one sums.
+    rng = random.Random(12)
+    for seed in range(200):
+        n = rng.randint(1, 6)
+        p = random_distribution(n, [rng.randint(1, 4) for _ in range(n)], seed, rng.choice((3, 7, 64)))
+        warm = fresh_copy(p)
+        for _ in range(3):
+            a, b, c = ({i for i in range(1, n + 1) if rng.random() < 0.5} for _ in range(3))
+            k = random_cmi(rng, n, 5)
+            for _ in range(2):  # the second round reads every entropy from the memo
+                assert entropy(warm, a).hex() == entropy(fresh_copy(p), a).hex()
+                assert cond_mutual_info(warm, a, b, c).hex() == cond_mutual_info(fresh_copy(p), a, b, c).hex()
+                assert j_value(warm, k).hex() == j_value(fresh_copy(p), k).hex()
+            assert warm._mask(a | b | c) in warm._entropies
 
 
 def test_j_value_is_bit_identical_whatever_was_asked_before():

@@ -116,7 +116,7 @@ def test_str_split_and_the_word_pattern_agree_on_whitespace():
     # \S+, so both must split at exactly the str.isspace characters.
     # Every code point sits between two x's, so each space character adds one word.
     text = "x" + "".join(f"{c}x" for c in CODE_POINTS)
-    assert text.split() == _WORD.findall(text)
+    assert text.split() == re.findall(_WORD, text)
     assert len(text.split()) == len(SPACES) + 1
 
 

@@ -21,6 +21,7 @@ from cmikit import (
     enumerate_canonical,
     implies,
     is_valid,
+    j_value,
     template_distribution,
     witness_non_equivalence,
     witness_non_implication,
@@ -361,6 +362,23 @@ def test_long_lived_template_keeps_a_bounded_marginal_cache():
     assert info.currsize == info.maxsize
 
 
+def test_long_lived_template_keeps_a_bounded_entropy_memo():
+    # Entropies of far more distinct index sets than one distribution may keep,
+    # read from one memoised template over 64 variables, as the marginals above.
+    d = template_distribution(64, "XOR", (1, 32, 64))
+    rng = random.Random(65)
+    sizes = []
+    for _ in range(300):
+        s = {i for i in range(1, 65) if rng.random() < 0.5}
+        fresh = JointDistribution(d.alphabet_sizes, d.pmf)
+        assert entropy(d, s) == entropy(fresh, s)
+        k = random_cmi(rng, 64)
+        assert j_value(d, k).hex() == j_value(fresh, k).hex()
+        sizes.append(len(d._entropies))
+    assert max(sizes) <= MARGINAL_CACHE_SIZE
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it dropped back at least once
+
+
 def test_threads_share_one_memoised_template_safely():
     # Every thread reads marginals of the same cached distribution over 64
     # variables, so most reads add a table while others search the cache.
@@ -379,6 +397,7 @@ def test_threads_share_one_memoised_template_safely():
                 for _ in range(2):
                     s = {i for i in range(1, 65) if rng.random() < 0.5}
                     assert d.marginal(s) == fresh.marginal(s)
+                    assert entropy(d, s) == entropy(fresh, s)  # the entropy memo, shared too
         except Exception as exc:  # reported below, with the thread's seed
             errors.append((seed, repr(exc)))
 
